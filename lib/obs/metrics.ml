@@ -1,5 +1,13 @@
 type labels = (string * string) list
 
+let node_label cache i =
+  match cache.(i) with
+  | [] ->
+      let l = [ ("node", string_of_int i) ] in
+      cache.(i) <- l;
+      l
+  | l -> l
+
 let canon labels =
   List.sort (fun (a, _) (b, _) -> compare (a : string) b) labels
 

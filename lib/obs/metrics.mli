@@ -29,6 +29,12 @@ type t
 type labels = (string * string) list
 (** Label key/value pairs; order is irrelevant. *)
 
+val node_label : labels array -> int -> labels
+(** [node_label cache i] is [[("node", string_of_int i)]], built on the
+    first call for [i] and kept in [cache] (made with
+    [Array.make n []]), so a hot path labels by node without allocating
+    and a set-up formats no label it never uses. *)
+
 type counter
 type gauge
 type histogram

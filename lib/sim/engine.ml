@@ -10,16 +10,21 @@ let labels_dead_dst = [ ("reason", "dead_dst") ]
 let labels_amnesia_true = [ ("amnesia", "true") ]
 let labels_amnesia_false = [ ("amnesia", "false") ]
 
+(* Every event carries the span context captured when it was enqueued,
+   so dispatch restores it without a side table.  The background flag
+   lives in the event too: a [Deliver] is background exactly when its
+   [uid] is [-1]; crashes and recoveries are always foreground. *)
 type 'msg event =
-  | Deliver of { src : int; dst : int; msg : 'msg; uid : int }
+  | Deliver of { src : int; dst : int; msg : 'msg; uid : int; ctx : int }
       (** [uid] identifies the message for trace causality links; [-1]
-          for background traffic, which is metered but not traced. *)
-  | Timer of { node : int; tag : int; ctx : int }
+          for background traffic, which is metered but not traced and
+          carries context [-1]. *)
+  | Timer of { node : int; tag : int; ctx : int; background : bool }
       (** [ctx] is the span context captured when the timer was set, so
           retransmit timers fire under the operation that armed them. *)
   | Crash of int
   | Recover of { node : int; amnesia : bool }
-  | Thunk of { f : unit -> unit; ctx : int }
+  | Thunk of { f : unit -> unit; ctx : int; background : bool }
 
 type 'msg handlers = {
   on_message : 'msg t -> node:int -> src:int -> 'msg -> unit;
@@ -39,7 +44,7 @@ and instruments = {
 
 and 'msg t = {
   n : int;
-  queue : ('msg event * bool) Heap.t;  (** event, is_background *)
+  queue : 'msg event Heap.t;
   live : bool array;
   network : Network.t;
   net_rng : Rng.t;
@@ -49,7 +54,6 @@ and 'msg t = {
   ins : instruments;
   prof : Prof.t;
   tracing : bool;  (** trace ring has capacity; guards record call sites *)
-  msg_ctx : (int, int) Hashtbl.t;  (** uid -> span ctx, in-flight only *)
   mutable ctx : int;  (** ambient span context; -1 = none *)
   mutable next_uid : int;
   mutable time : float;
@@ -89,7 +93,7 @@ let create ~seed ~nodes ?network ?obs handlers =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   {
     n = nodes;
-    queue = Heap.create ();
+    queue = Heap.create ~dummy:(Crash (-1));
     live = Array.make nodes true;
     network = (match network with Some n -> n | None -> Network.create ());
     net_rng = Rng.split root;
@@ -99,7 +103,6 @@ let create ~seed ~nodes ?network ?obs handlers =
     ins = make_instruments (Obs.metrics obs);
     prof = Obs.prof obs;
     tracing = Trace.capacity (Obs.trace obs) > 0;
-    msg_ctx = Hashtbl.create 64;
     ctx = -1;
     next_uid = 0;
     time = 0.0;
@@ -137,24 +140,24 @@ let with_span_ctx t ctx f =
   t.ctx <- ctx;
   Fun.protect ~finally:(fun () -> t.ctx <- saved) f
 
-let ctx_of_uid t uid =
-  match Hashtbl.find_opt t.msg_ctx uid with Some c -> c | None -> -1
-
-let forget_uid t uid = if uid >= 0 then Hashtbl.remove t.msg_ctx uid
-
 let note ?(label = "") t ~node =
   if t.tracing then
     Trace.record (trace t) ~time:t.time ~node ~span:t.ctx ~label Trace.Note
 
-let enqueue t ~time ~background ev =
-  if not background then t.foreground <- t.foreground + 1;
+let is_background = function
+  | Deliver { uid; _ } -> uid < 0
+  | Timer { background; _ } | Thunk { background; _ } -> background
+  | Crash _ | Recover _ -> false
+
+let enqueue t ~time ev =
+  if not (is_background ev) then t.foreground <- t.foreground + 1;
   Prof.enter t.prof Prof.Heap;
-  Heap.push t.queue ~time (ev, background);
+  Heap.push t.queue ~time ev;
   Prof.leave t.prof Prof.Heap
 
-let push t ~delay ?(background = false) ev =
+let push t ~delay ev =
   if delay < 0.0 then invalid_arg "Engine: negative delay";
-  enqueue t ~time:(t.time +. delay) ~background ev
+  enqueue t ~time:(t.time +. delay) ev
 
 let drop t ~labels =
   t.dropped <- t.dropped + 1;
@@ -181,26 +184,22 @@ let send ?(background = false) t ~src ~dst msg =
         if t.tracing then
           Trace.record (trace t) ~time:t.time ~node:src ~peer:dst ~msg_id:uid
             ~span:t.ctx Trace.Send;
-        (* -1 means "no context" and is the lookup default; anything
-           else — including the sampled-out sentinel — must ride along
-           so the receiver's children share the root's sampling fate. *)
-        if t.ctx <> -1 then Hashtbl.replace t.msg_ctx uid t.ctx;
         uid
       end
     in
-    if src = dst then
-      push t ~delay:0.0 ~background (Deliver { src; dst; msg; uid })
+    (* The ambient context — including the sampled-out sentinel — rides
+       in the event, so the receiver's children share the root's
+       sampling fate; background traffic carries none. *)
+    let ctx = if background then -1 else t.ctx in
+    if src = dst then push t ~delay:0.0 (Deliver { src; dst; msg; uid; ctx })
     else
       match Network.delay t.network t.net_rng ~src ~dst with
       | None ->
           drop t ~labels:labels_net;
-          if not background then begin
-            if t.tracing then
-              Trace.record (trace t) ~time:t.time ~node:src ~peer:dst
-                ~msg_id:uid ~span:t.ctx ~label:"net" Trace.Drop;
-            forget_uid t uid
-          end
-      | Some d -> push t ~delay:d ~background (Deliver { src; dst; msg; uid })
+          if (not background) && t.tracing then
+            Trace.record (trace t) ~time:t.time ~node:src ~peer:dst
+              ~msg_id:uid ~span:t.ctx ~label:"net" Trace.Drop
+      | Some d -> push t ~delay:d (Deliver { src; dst; msg; uid; ctx })
   end
 
 let broadcast ?(background = false) t ~src ~dsts msg =
@@ -208,19 +207,19 @@ let broadcast ?(background = false) t ~src ~dsts msg =
 
 let set_timer ?(background = false) t ~node ~delay ~tag =
   if node < 0 || node >= t.n then invalid_arg "Engine.set_timer: bad node";
-  push t ~delay ~background (Timer { node; tag; ctx = t.ctx })
+  push t ~delay (Timer { node; tag; ctx = t.ctx; background })
 
-let at_absolute t ~time ~background ev =
+let at_absolute t ~time ev =
   if time < t.time then invalid_arg "Engine: scheduling in the past";
-  enqueue t ~time ~background ev
+  enqueue t ~time ev
 
-let crash_at t ~time ~node = at_absolute t ~time ~background:false (Crash node)
+let crash_at t ~time ~node = at_absolute t ~time (Crash node)
 
 let recover_at ?(amnesia = false) t ~time ~node =
-  at_absolute t ~time ~background:false (Recover { node; amnesia })
+  at_absolute t ~time (Recover { node; amnesia })
 
 let schedule ?(background = false) t ~time thunk =
-  at_absolute t ~time ~background (Thunk { f = thunk; ctx = t.ctx })
+  at_absolute t ~time (Thunk { f = thunk; ctx = t.ctx; background })
 
 let messages_sent t = t.sent
 let messages_background t = t.background_sent
@@ -239,14 +238,12 @@ let[@inline] reraise t cat saved e =
   Prof.leave t.prof cat;
   Printexc.raise_with_backtrace e bt
 
-let dispatch t ~background = function
-  | Deliver { src; dst; msg; uid } ->
-      let ctx = ctx_of_uid t uid in
-      forget_uid t uid;
+let dispatch t = function
+  | Deliver { src; dst; msg; uid; ctx } ->
       if t.live.(dst) then begin
         t.delivered <- t.delivered + 1;
         Metrics.incr t.ins.m_delivered;
-        if not background && t.tracing then
+        if uid >= 0 && t.tracing then
           Trace.record (trace t) ~time:t.time ~node:dst ~peer:src ~msg_id:uid
             ~span:ctx Trace.Deliver;
         (* The handler runs under the sender's span context: replies it
@@ -262,11 +259,11 @@ let dispatch t ~background = function
       end
       else begin
         drop t ~labels:labels_dead_dst;
-        if not background && t.tracing then
+        if uid >= 0 && t.tracing then
           Trace.record (trace t) ~time:t.time ~node:dst ~peer:src ~msg_id:uid
             ~span:ctx ~label:"dead_dst" Trace.Drop
       end
-  | Timer { node; tag; ctx } ->
+  | Timer { node; tag; ctx; _ } ->
       if t.live.(node) then begin
         let saved = t.ctx in
         t.ctx <- ctx;
@@ -308,7 +305,7 @@ let dispatch t ~background = function
         t.ctx <- saved;
         Prof.leave t.prof Prof.Dispatch_recovery
       end
-  | Thunk { f; ctx } ->
+  | Thunk { f; ctx; _ } ->
       let saved = t.ctx in
       t.ctx <- ctx;
       Prof.enter t.prof Prof.Thunk;
@@ -331,32 +328,29 @@ let run_status ?until ?(max_events = 10_000_000) t =
       clamp_until ();
       Drained
     end
-    else
-      match Heap.peek_time t.queue with
-      | None ->
-          clamp_until ();
-          Drained
-      | Some time ->
-          let stop = match until with Some u -> time > u | None -> false in
-          if stop then begin
-            clamp_until ();
-            Reached_until
-          end
-          else begin
-            Prof.enter t.prof Prof.Heap;
-            let popped = Heap.pop t.queue in
-            Prof.leave t.prof Prof.Heap;
-            match popped with
-            | None ->
-                clamp_until ();
-                Drained
-            | Some (time, (ev, background)) ->
-                if not background then t.foreground <- t.foreground - 1;
-                t.time <- time;
-                t.dispatched <- t.dispatched + 1;
-                dispatch t ~background ev;
-                loop (budget - 1)
-          end
+    else if t.queue.size = 0 then begin
+      clamp_until ();
+      Drained
+    end
+    else begin
+      (* Read in place: an unboxed float, no option. *)
+      let time = t.queue.times.(0) in
+      let stop = match until with Some u -> time > u | None -> false in
+      if stop then begin
+        clamp_until ();
+        Reached_until
+      end
+      else begin
+        Prof.enter t.prof Prof.Heap;
+        let ev = Heap.pop t.queue in
+        Prof.leave t.prof Prof.Heap;
+        if not (is_background ev) then t.foreground <- t.foreground - 1;
+        t.time <- time;
+        t.dispatched <- t.dispatched + 1;
+        dispatch t ev;
+        loop (budget - 1)
+      end
+    end
   in
   (* The loop probe brackets the whole drain, so every category of a
      profiled run nests inside it and the report's total is the run's

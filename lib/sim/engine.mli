@@ -22,7 +22,15 @@
     traffic is metered but never traced, so heartbeats cannot evict the
     protocol events a causality check needs.  Observability never
     touches the engine's RNG streams: runs are bit-identical with or
-    without a trace attached. *)
+    without a trace attached.
+
+    {b Event queue.}  Events wait in a {!Heap}: a 4-ary min-heap over
+    parallel arrays of times, sequence numbers and events.  Events
+    dispatch in [(time, push order)] order, so simultaneous events run
+    FIFO.  The loop reads the earliest time in place and pops without
+    an option, a tuple or an entry record; each event carries its own
+    background flag and span context, so the per-event path keeps no
+    side table. *)
 
 type 'msg t
 
@@ -61,7 +69,9 @@ val obs : 'msg t -> Obs.t
     The engine carries an {e ambient span context}: the id of the
     {!Obs.Span} the currently-running work belongs to (-1 when none).
     {!send}, {!set_timer} and {!schedule} capture the ambient context
-    into the events they enqueue, and dispatch restores it around the
+    into the events they enqueue — a message carries it in its delivery
+    event, the sampled-out sentinel [-2] included, while background
+    messages carry [-1] — and dispatch restores it around the
     corresponding handler — so when a replica's [on_message] fires, it
     runs under the span of the client operation whose message it is
     handling, and any replies it sends (or retransmit timers it arms,

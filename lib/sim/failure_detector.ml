@@ -21,6 +21,7 @@ type instruments = {
   f_missed : Metrics.counter;
   f_trans : Metrics.counter;
   f_detect : Metrics.histogram;
+  node_labels : Metrics.labels array;  (** see {!Metrics.node_label} *)
 }
 
 type stats = {
@@ -153,6 +154,7 @@ let bind t engine =
           Metrics.histogram m
             ~help:"crash to first suspicion, per (observer, peer)"
             "fd.detection_latency";
+        node_labels = Array.make t.n [];
       }
 
 let period t = t.period
@@ -292,7 +294,7 @@ let sample_accuracy t ~node engine =
   | None -> ()
   | Some ins ->
       Metrics.set ins.f_suspected
-        ~labels:[ ("node", string_of_int node) ]
+        ~labels:(Metrics.node_label ins.node_labels node)
         (float_of_int !suspected)
 
 let on_timer t ~node ~tag =

@@ -63,27 +63,35 @@ let set_slowdown t ~node extra =
 let slowdown t ~node =
   match Hashtbl.find_opt t.slowdown node with Some s -> s | None -> 0.0
 
+(* The fast paths below skip the hash lookups (and the closure of the
+   cut scan) when nothing is installed; they feed the same [0.] into the
+   same arithmetic, so the floats and the RNG draws are unchanged. *)
 let delay t rng ~src ~dst =
   let blocked =
-    List.exists (fun (_, side) -> side src <> side dst) t.cuts
+    match t.cuts with
+    | [] -> false
+    | cuts -> List.exists (fun (_, side) -> side src <> side dst) cuts
   in
   if blocked then None
   else begin
     (* Independent drop causes compose into one Bernoulli draw; no RNG
        is consumed when the message cannot be dropped, so loss-free
        runs keep the exact event streams of older seeds. *)
-    let keep =
-      (1.0 -. t.loss) *. (1.0 -. t.extra_loss)
-      *. (1.0 -. link_loss t ~src ~dst)
+    let link =
+      if Hashtbl.length t.link_loss = 0 then 0.0 else link_loss t ~src ~dst
     in
+    let keep = (1.0 -. t.loss) *. (1.0 -. t.extra_loss) *. (1.0 -. link) in
     if keep < 1.0 && Quorum.Rng.bernoulli rng (1.0 -. keep) then None
     else begin
       let jitter =
         if t.jitter = 0.0 then 0.0
         else Quorum.Rng.exponential rng ~mean:t.jitter
       in
+      let slow = Hashtbl.length t.slowdown > 0 in
+      let slow_src = if slow then slowdown t ~node:src else 0.0 in
+      let slow_dst = if slow then slowdown t ~node:dst else 0.0 in
       Some
-        (t.base_latency +. t.latency_of src dst +. jitter
-        +. slowdown t ~node:src +. slowdown t ~node:dst)
+        (t.base_latency +. t.latency_of src dst +. jitter +. slow_src
+        +. slow_dst)
     end
   end

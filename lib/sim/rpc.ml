@@ -10,7 +10,18 @@ type instruments = {
   i_retransmits : Metrics.counter;
   i_duplicates : Metrics.counter;
   i_dead : Metrics.counter;
+  node_labels : Metrics.labels array;  (** see {!Metrics.node_label} *)
 }
+
+module Seq_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  (* Sequence numbers are a dense counter: the identity spreads them
+     over the buckets as well as any hash. *)
+  let hash seq = seq
+end)
 
 (* Timer-tag namespace: tag = -seq - 2, so every rpc tag is <= -2.
    Tag -1 belongs to Failure_detector; protocol tags are >= 0. *)
@@ -37,8 +48,8 @@ type ('a, 'wire) t = {
   mutable ins : instruments option;
   mutable prof : Prof.t;
   mutable next_seq : int;
-  inflight : (int, 'a inflight) Hashtbl.t;  (** seq -> record *)
-  seen : (int, unit) Hashtbl.t;  (** seqs already delivered *)
+  inflight : 'a inflight Seq_tbl.t;  (** seq -> record *)
+  mutable seen : Bytes.t;  (** bitset of the seqs already delivered *)
   mutable retransmissions : int;
   mutable duplicates : int;
   mutable dead : int;
@@ -64,8 +75,8 @@ let create ?(timeout = 2.0) ?(backoff = 1.6) ?(jitter = 0.3) ?cap
     ins = None;
     prof = Prof.null;
     next_seq = 0;
-    inflight = Hashtbl.create 64;
-    seen = Hashtbl.create 256;
+    inflight = Seq_tbl.create 64;
+    seen = Bytes.make 64 '\000';
     retransmissions = 0;
     duplicates = 0;
     dead = 0;
@@ -97,6 +108,7 @@ let bind t engine =
           Metrics.counter m
             ~help:"messages abandoned after max_attempts, by sender node"
             "rpc.dead_letters";
+        node_labels = Array.make (Engine.nodes engine) [];
       }
 
 let set_dead_letter_handler t f = t.on_dead_letter <- f
@@ -106,12 +118,33 @@ let ins_exn t =
   | Some i -> i
   | None -> invalid_arg "Rpc: bind the engine first"
 
-let node_label node = [ ("node", string_of_int node) ]
-
 let retransmissions t = t.retransmissions
 let duplicates_suppressed t = t.duplicates
 let dead_letters t = t.dead
-let inflight_count t = Hashtbl.length t.inflight
+let inflight_count t = Seq_tbl.length t.inflight
+
+(* Receiver-side dedup.  Sequence numbers are a dense counter per [t],
+   so the delivered set is a bitset that doubles when a seq outgrows
+   it. *)
+let seen_mem t seq =
+  let byte = seq lsr 3 in
+  byte < Bytes.length t.seen
+  && Bytes.get_uint8 t.seen byte land (1 lsl (seq land 7)) <> 0
+
+let seen_add t seq =
+  let byte = seq lsr 3 in
+  let len = Bytes.length t.seen in
+  if byte >= len then begin
+    let cap = ref (2 * len) in
+    while byte >= !cap do
+      cap := 2 * !cap
+    done;
+    let grown = Bytes.make !cap '\000' in
+    Bytes.blit t.seen 0 grown 0 len;
+    t.seen <- grown
+  end;
+  Bytes.set_uint8 t.seen byte
+    (Bytes.get_uint8 t.seen byte lor (1 lsl (seq land 7)))
 
 let jittered t engine delay =
   if t.jitter = 0.0 then delay
@@ -138,7 +171,7 @@ let send t ~src ~dst payload =
   Prof.enter t.prof Prof.Rpc;
   let seq = t.next_seq in
   t.next_seq <- t.next_seq + 1;
-  Hashtbl.replace t.inflight seq
+  Seq_tbl.replace t.inflight seq
     { src; dst; payload; attempts = 1; rto = t.timeout };
   Metrics.incr (ins_exn t).i_sends;
   Engine.send engine ~src ~dst (t.wrap (Data { seq; payload }));
@@ -154,13 +187,13 @@ let on_message t ~node ~src msg ~deliver =
       Prof.enter t.prof Prof.Rpc;
       (* Always (re-)ack: the previous ack may have been lost. *)
       Engine.send engine ~src:node ~dst:src (t.wrap (Ack { seq }));
-      if Hashtbl.mem t.seen seq then begin
+      if seen_mem t seq then begin
         t.duplicates <- t.duplicates + 1;
         Metrics.incr (ins_exn t).i_duplicates;
         Prof.leave t.prof Prof.Rpc
       end
       else begin
-        Hashtbl.replace t.seen seq ();
+        seen_add t seq;
         (* Leave before handing off: the protocol's work must charge to
            the dispatch category, not to rpc bookkeeping. *)
         Prof.leave t.prof Prof.Rpc;
@@ -168,7 +201,7 @@ let on_message t ~node ~src msg ~deliver =
       end
   | Ack { seq } ->
       Prof.enter t.prof Prof.Rpc;
-      Hashtbl.remove t.inflight seq;
+      Seq_tbl.remove t.inflight seq;
       Prof.leave t.prof Prof.Rpc
 
 let on_timer t ~node ~tag =
@@ -176,13 +209,15 @@ let on_timer t ~node ~tag =
   else begin
     Prof.enter t.prof Prof.Rpc;
     let seq = seq_of_tag tag in
-    (match Hashtbl.find_opt t.inflight seq with
-    | None -> ()  (* acked (or the sender crashed) in the meantime *)
-    | Some m ->
+    (match Seq_tbl.find t.inflight seq with
+    | exception Not_found -> ()  (* acked (or the sender crashed) since *)
+    | m ->
+        let ins = ins_exn t in
         if m.attempts >= t.max_attempts then begin
-          Hashtbl.remove t.inflight seq;
+          Seq_tbl.remove t.inflight seq;
           t.dead <- t.dead + 1;
-          Metrics.incr (ins_exn t).i_dead ~labels:(node_label m.src);
+          Metrics.incr ins.i_dead
+            ~labels:(Metrics.node_label ins.node_labels m.src);
           let engine = engine_exn t in
           Trace.record
             (Obs.trace (Engine.obs engine))
@@ -196,7 +231,8 @@ let on_timer t ~node ~tag =
           m.attempts <- m.attempts + 1;
           m.rto <- next_backoff t (Engine.rng engine) ~prev:m.rto;
           t.retransmissions <- t.retransmissions + 1;
-          Metrics.incr (ins_exn t).i_retransmits ~labels:(node_label node);
+          Metrics.incr ins.i_retransmits
+            ~labels:(Metrics.node_label ins.node_labels node);
           (* The Note marks the retransmission instant inside the op's
              span window, which is what lets the critical-path analysis
              attribute the ensuing wait to "retransmit", not "queueing". *)
@@ -218,8 +254,8 @@ let on_crash t ~node =
      (Receiver-side dedup state is kept, modelling per-channel sequence
      numbers on stable storage.) *)
   let doomed =
-    Hashtbl.fold
+    Seq_tbl.fold
       (fun seq m acc -> if m.src = node then seq :: acc else acc)
       t.inflight []
   in
-  List.iter (Hashtbl.remove t.inflight) doomed
+  List.iter (Seq_tbl.remove t.inflight) doomed
