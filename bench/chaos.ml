@@ -90,7 +90,7 @@ let mutex_runs () =
           (fun scenario () ->
             let system = Util.system spec in
             let obs = maybe_obs () in
-            let r = C.run_mutex ~seed:mutex_seed ?obs ~system scenario in
+            let r, _ = C.run_mutex_h ~seed:mutex_seed ?obs ~system scenario in
             ( Printf.sprintf "%s\n%s" (C.mutex_row r)
                 (metrics_dump ~spec ~label:scenario.C.label obs),
               mutex_json r ))
@@ -119,8 +119,8 @@ let store_runs () =
             let read_system = Util.system rspec in
             let write_system = Util.system wspec in
             let obs = maybe_obs () in
-            let r =
-              C.run_store ~seed:store_seed ?obs ~read_system ~write_system
+            let r, _ =
+              C.run_store_h ~seed:store_seed ?obs ~read_system ~write_system
                 ~name scenario
             in
             ( Printf.sprintf "%s\n%s" (C.store_row r)
@@ -155,8 +155,8 @@ let reconfig_runs () =
             let initial = Util.system ispec in
             let next = Util.system nspec in
             let obs = maybe_obs () in
-            let r =
-              C.run_reconfig ~seed:reconfig_seed ?obs ~initial ~next ~name
+            let r, _ =
+              C.run_reconfig_h ~seed:reconfig_seed ?obs ~initial ~next ~name
                 scenario
             in
             ( Printf.sprintf "%s\n%s" (C.reconfig_row r)

@@ -95,8 +95,8 @@ let run () =
       (fun rate ->
         List.map
           (fun mode () ->
-            let r =
-              C.run_churn ~seed ~rate:op_rate ~op_timeout ~rows ~period ~lease
+            let r, _ =
+              C.run_churn_h ~seed ~rate:op_rate ~op_timeout ~rows ~period ~lease
                 ~mode ~universe (scenario ~rate)
             in
             (* Availability is never bought with safety: any stale read

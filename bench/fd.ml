@@ -57,8 +57,8 @@ let run_one ~det ~hedge scenario =
     | Fixed tau -> (tau, None)
     | Accrual phi -> (5.0, Some phi)
   in
-  let r =
-    C.run_fd ~seed ~fd_timeout ?accrual ~hedge ~read_system:system
+  let r, _ =
+    C.run_fd_h ~seed ~fd_timeout ?accrual ~hedge ~read_system:system
       ~write_system:system ~name:spec scenario
   in
   if r.C.stale_reads > 0 then
@@ -160,8 +160,8 @@ let run () =
   let membership =
     List.map
       (fun mode ->
-        let r =
-          C.run_churn ~seed ~rate:2.0 ~op_timeout:30.0 ~rows:mrows
+        let r, _ =
+          C.run_churn_h ~seed ~rate:2.0 ~op_timeout:30.0 ~rows:mrows
             ~period:8.0 ~mode ~universe (churn_scenario ())
         in
         if r.C.stale_reads > 0 then

@@ -104,7 +104,7 @@ let chaos_case ~metrics =
         List.map
           (fun scenario () ->
             let system = Util.system spec in
-            C.mutex_row (C.run_mutex ~seed:41 ~system scenario))
+            C.mutex_row (fst (C.run_mutex_h ~seed:41 ~system scenario)))
           (C.standard ~n ~horizon))
       specs
     |> Array.of_list

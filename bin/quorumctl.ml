@@ -298,7 +298,12 @@ let simulate_cmd =
   in
   let run spec requests fault_p =
     with_system spec (fun system ->
-        let mx = Protocols.Mutex.create ~system ~cs_duration:1.0 () in
+        let config =
+          Protocols.Client_config.(default |> with_timeout 1000.0)
+        in
+        let mx =
+          Protocols.Mutex.of_config ~config ~system ~cs_duration:1.0 ()
+        in
         let engine =
           Sim.Engine.create ~seed:1 ~nodes:system.Quorum.System.n
             (Protocols.Mutex.handlers mx)
@@ -427,24 +432,26 @@ let chaos_cmd =
               fun s ->
                 let system = fresh_system spec in
                 Protocols.Chaos.mutex_row
-                  (Protocols.Chaos.run_mutex ~seed ~system s)
+                  (fst (Protocols.Chaos.run_mutex_h ~seed ~system s))
           | `Store ->
               fun s ->
                 let system = fresh_system spec in
                 Protocols.Chaos.store_row
-                  (Protocols.Chaos.run_store ~seed ~workload
-                     ~read_system:system ~write_system:system
-                     ~name:system.Quorum.System.name s)
+                  (fst
+                     (Protocols.Chaos.run_store_h ~seed ~workload
+                        ~read_system:system ~write_system:system
+                        ~name:system.Quorum.System.name s))
           | `Reconfig ->
               fun s ->
                 let initial = fresh_system spec in
                 let next = fresh_system next_spec in
                 Protocols.Chaos.reconfig_row
-                  (Protocols.Chaos.run_reconfig ~seed ~initial ~next
-                     ~name:
-                       (initial.Quorum.System.name ^ "->"
-                      ^ next.Quorum.System.name)
-                     s)
+                  (fst
+                     (Protocols.Chaos.run_reconfig_h ~seed ~initial ~next
+                        ~name:
+                          (initial.Quorum.System.name ^ "->"
+                         ^ next.Quorum.System.name)
+                        s))
         in
         let header =
           match protocol with
@@ -567,8 +574,8 @@ let churn_cmd =
     Printf.printf "%s\n" (Protocols.Chaos.churn_header ());
     List.iter
       (fun mode ->
-        let r =
-          Protocols.Chaos.run_churn ~seed ~period ~lease ~mode ~universe
+        let r, _ =
+          Protocols.Chaos.run_churn_h ~seed ~period ~lease ~mode ~universe
             ~rows scenario
         in
         Printf.printf "%s\n" (Protocols.Chaos.churn_row r))
@@ -746,10 +753,10 @@ let run_chaos_scenario ~obs ~system ~scenario ~horizon ~seed protocol =
       exit 1
   | s -> (
       match protocol with
-      | `Mutex -> ignore (Protocols.Chaos.run_mutex ~seed ~obs ~system s)
+      | `Mutex -> ignore (Protocols.Chaos.run_mutex_h ~seed ~obs ~system s)
       | `Store ->
           ignore
-            (Protocols.Chaos.run_store ~seed ~obs ~read_system:system
+            (Protocols.Chaos.run_store_h ~seed ~obs ~read_system:system
                ~write_system:system ~name:system.Quorum.System.name s))
 
 let emit_to out emit =

@@ -24,7 +24,9 @@ let build_system spec =
 
 let run ~label ~read_system ~write_system =
   let store =
-    Protocols.Replicated_store.create ~read_system ~write_system ~timeout:25.0 ()
+    Protocols.Replicated_store.of_config
+      ~config:Protocols.Client_config.(default |> with_timeout 25.0)
+      ~read_system ~write_system ()
   in
   let n = read_system.Quorum.System.n in
   let engine =
@@ -44,7 +46,7 @@ let run ~label ~read_system ~write_system =
   in
   let issued =
     match
-      Protocols.Workload.read_write_mix_w engine ~rng:(Rng.create 4) ~rate:2.0
+      Protocols.Workload.read_write_mix engine ~rng:(Rng.create 4) ~rate:2.0
         ~horizon:500.0 ~workload ~keys:8
         ~read:(fun ~client ~key ->
           Protocols.Replicated_store.read store ~client ~key)

@@ -18,11 +18,10 @@
 
     Consumers: {!Failure.of_workload} (availability under the failure
     model), {!Optimizer.sweep} (the catalogue search),
-    [Protocols.Workload.read_write_mix_w] and [Protocols.Chaos]'s
-    [?workload] (simulated operation mixes).  The scattered
-    positional/optional variants those modules used to take
-    ([~read_fraction], [~p_of], [~p]) remain as thin compatibility
-    shims over this record. *)
+    [Protocols.Workload.read_write_mix] and [Protocols.Chaos]'s
+    [?workload] (simulated operation mixes).  The analysis modules'
+    older positional/optional variants ([~read_fraction], [~p_of],
+    [~p]) remain as thin compatibility shims over this record. *)
 
 type failure_model =
   | Iid of float  (** every process crashes independently with this p *)

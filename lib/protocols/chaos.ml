@@ -279,6 +279,14 @@ let apply engine ~rng scenario =
         ~mean_downtime ~horizon:scenario.horizon
   | None -> ()
 
+let start ~seed ?obs ~nodes ~bind handlers scenario =
+  let rng = Rng.create seed in
+  let network = Network.create ~loss:scenario.plan.loss () in
+  let engine = Engine.create ~seed:(seed + 1) ~nodes ~network ?obs handlers in
+  bind engine;
+  apply engine ~rng scenario;
+  (engine, rng)
+
 (* --- Mutual exclusion under chaos ---------------------------------- *)
 
 type mutex_report = {
@@ -300,9 +308,6 @@ type mutex_report = {
 
 let run_mutex_h ?(seed = 7) ?(rate = 0.4) ?(cs_duration = 1.0)
     ?(acquire_timeout = 80.0) ?obs ~system scenario =
-  let n = system.Quorum.System.n in
-  let rng = Rng.create seed in
-  let network = Network.create ~loss:scenario.plan.loss () in
   let config =
     Client_config.(
       default
@@ -310,11 +315,10 @@ let run_mutex_h ?(seed = 7) ?(rate = 0.4) ?(cs_duration = 1.0)
       |> with_durability (durability_of_plan scenario.plan))
   in
   let mx = Mutex.of_config ~config ~system ~cs_duration () in
-  let engine =
-    Engine.create ~seed:(seed + 1) ~nodes:n ~network ?obs (Mutex.handlers mx)
+  let engine, rng =
+    start ~seed ?obs ~nodes:system.Quorum.System.n ~bind:(Mutex.bind mx)
+      (Mutex.handlers mx) scenario
   in
-  Mutex.bind mx engine;
-  apply engine ~rng scenario;
   let issued =
     Workload.poisson_ops engine ~rng ~rate ~horizon:scenario.horizon
       (fun ~client -> Mutex.request mx ~node:client)
@@ -343,9 +347,6 @@ let run_mutex_h ?(seed = 7) ?(rate = 0.4) ?(cs_duration = 1.0)
     },
     mx )
 
-let run_mutex ?seed ?rate ?cs_duration ?acquire_timeout ?obs ~system scenario =
-  fst (run_mutex_h ?seed ?rate ?cs_duration ?acquire_timeout ?obs ~system scenario)
-
 (* --- Replicated store under chaos ---------------------------------- *)
 
 type store_report = {
@@ -367,20 +368,46 @@ type store_report = {
   budget_hit : bool;
 }
 
-let run_store_h ?(seed = 7) ?(rate = 2.0) ?read_fraction ?workload ?(keys = 4)
+(* The store runners' common part: a store under the scenario serving
+   a Poisson read/write mix, run to the end.  Returns the store, the ops
+   issued and whether the event budget ran out.  Only the read fraction
+   shapes the mix, so the other workload fields take values every
+   engine size accepts (resilience 0 admits a one-process system). *)
+let run_store_mix ~seed ~rate ~read_fraction ~keys ?obs ~config ~read_system
+    ~write_system scenario =
+  let store =
+    Replicated_store.of_config ~config ~read_system ~write_system ()
+  in
+  let engine, rng =
+    start ~seed ?obs ~nodes:read_system.Quorum.System.n
+      ~bind:(Replicated_store.bind store)
+      (Replicated_store.handlers store)
+      scenario
+  in
+  let workload =
+    { Analysis.Workload.default with read_fraction; resilience = 0 }
+  in
+  let issued =
+    match
+      Workload.read_write_mix engine ~rng ~rate ~horizon:scenario.horizon
+        ~workload ~keys
+        ~read:(fun ~client ~key -> Replicated_store.read store ~client ~key)
+        ~write:(fun ~client ~key ~value ->
+          Replicated_store.write store ~client ~key ~value)
+    with
+    | Ok issued -> issued
+    | Error msg -> invalid_arg msg
+  in
+  (store, issued, Engine.run_status engine = Engine.Budget_exhausted)
+
+let run_store_h ?(seed = 7) ?(rate = 2.0) ?workload ?(keys = 4)
     ?(op_timeout = 25.0) ?(retries = 2) ?obs ~read_system ~write_system ~name
     scenario =
-  (* ?workload is the unified spec; ?read_fraction remains as the
-     compatibility shim (ignored when both are given). *)
   let read_fraction =
-    match (workload, read_fraction) with
-    | Some (w : Analysis.Workload.t), _ -> w.Analysis.Workload.read_fraction
-    | None, Some fr -> fr
-    | None, None -> 0.7
+    match workload with
+    | Some w -> w.Analysis.Workload.read_fraction
+    | None -> 0.7
   in
-  let n = read_system.Quorum.System.n in
-  let rng = Rng.create seed in
-  let network = Network.create ~loss:scenario.plan.loss () in
   let config =
     Client_config.(
       default
@@ -388,21 +415,10 @@ let run_store_h ?(seed = 7) ?(rate = 2.0) ?read_fraction ?workload ?(keys = 4)
       |> with_retries retries
       |> with_durability (durability_of_plan scenario.plan))
   in
-  let store = Replicated_store.of_config ~config ~read_system ~write_system () in
-  let engine =
-    Engine.create ~seed:(seed + 1) ~nodes:n ~network ?obs
-      (Replicated_store.handlers store)
+  let store, issued, budget_hit =
+    run_store_mix ~seed ~rate ~read_fraction ~keys ?obs ~config ~read_system
+      ~write_system scenario
   in
-  Replicated_store.bind store engine;
-  apply engine ~rng scenario;
-  let issued =
-    Workload.read_write_mix engine ~rng ~rate ~horizon:scenario.horizon
-      ~read_fraction ~keys
-      ~read:(fun ~client ~key -> Replicated_store.read store ~client ~key)
-      ~write:(fun ~client ~key ~value ->
-        Replicated_store.write store ~client ~key ~value)
-  in
-  let outcome = Engine.run_status engine in
   (* Both op=read and op=write cells of store.op_latency, combined. *)
   let lat = Replicated_store.op_latency store in
   let mean_latency =
@@ -431,15 +447,9 @@ let run_store_h ?(seed = 7) ?(rate = 2.0) ?read_fraction ?workload ?(keys = 4)
       dead_letters = Replicated_store.dead_letters store;
       retransmissions = Replicated_store.retransmissions store;
       mean_latency;
-      budget_hit = outcome = Engine.Budget_exhausted;
+      budget_hit;
     },
     store )
-
-let run_store ?seed ?rate ?read_fraction ?workload ?keys ?op_timeout ?retries
-    ?obs ~read_system ~write_system ~name scenario =
-  fst
-    (run_store_h ?seed ?rate ?read_fraction ?workload ?keys ?op_timeout
-       ?retries ?obs ~read_system ~write_system ~name scenario)
 
 (* --- Failure detection under chaos ----------------------------------- *)
 
@@ -473,9 +483,6 @@ let run_fd_h ?(seed = 7) ?(rate = 2.0) ?(keys = 4) ?(op_timeout = 25.0)
     ?(fd_period = 1.0) ?(fd_timeout = 5.0) ?accrual ?(hedge = false)
     ?(degraded_reads = false) ?obs ~read_system ~write_system ~name scenario =
   ignore name;
-  let n = read_system.Quorum.System.n in
-  let rng = Rng.create seed in
-  let network = Network.create ~loss:scenario.plan.loss () in
   let config =
     Client_config.(
       default
@@ -484,23 +491,11 @@ let run_fd_h ?(seed = 7) ?(rate = 2.0) ?(keys = 4) ?(op_timeout = 25.0)
       |> with_routing ~hedge ~degraded_reads
       |> with_durability (durability_of_plan scenario.plan))
   in
-  let store =
-    Replicated_store.of_config ~config ~read_system ~write_system ()
+  let store, issued, budget_hit =
+    run_store_mix ~seed ~rate ~read_fraction:0.7 ~keys ?obs ~config
+      ~read_system ~write_system scenario
   in
-  let engine =
-    Engine.create ~seed:(seed + 1) ~nodes:n ~network ?obs
-      (Replicated_store.handlers store)
-  in
-  Replicated_store.bind store engine;
-  apply engine ~rng scenario;
-  let issued =
-    Workload.read_write_mix engine ~rng ~rate ~horizon:scenario.horizon
-      ~read_fraction:0.7 ~keys
-      ~read:(fun ~client ~key -> Replicated_store.read store ~client ~key)
-      ~write:(fun ~client ~key ~value ->
-        Replicated_store.write store ~client ~key ~value)
-  in
-  let outcome = Engine.run_status engine in
+  let n = read_system.Quorum.System.n in
   let detections = ref 0
   and fp = ref 0
   and missed = ref 0
@@ -553,15 +548,9 @@ let run_fd_h ?(seed = 7) ?(rate = 2.0) ?(keys = 4) ?(op_timeout = 25.0)
       missed = !missed;
       transitions = !trans;
       p99_latency;
-      budget_hit = outcome = Engine.Budget_exhausted;
+      budget_hit;
     },
     store )
-
-let run_fd ?seed ?rate ?keys ?op_timeout ?fd_period ?fd_timeout ?accrual
-    ?hedge ?degraded_reads ?obs ~read_system ~write_system ~name scenario =
-  fst
-    (run_fd_h ?seed ?rate ?keys ?op_timeout ?fd_period ?fd_timeout ?accrual
-       ?hedge ?degraded_reads ?obs ~read_system ~write_system ~name scenario)
 
 (* --- Reconfiguration under chaos ------------------------------------ *)
 
@@ -586,8 +575,6 @@ type reconfig_report = {
 let run_reconfig_h ?(seed = 7) ?(rate = 1.0) ?(op_timeout = 25.0) ?obs
     ~initial ~next ~name scenario =
   let universe = max initial.Quorum.System.n next.Quorum.System.n in
-  let rng = Rng.create seed in
-  let network = Network.create ~loss:scenario.plan.loss () in
   let config =
     Client_config.(
       default
@@ -595,12 +582,10 @@ let run_reconfig_h ?(seed = 7) ?(rate = 1.0) ?(op_timeout = 25.0) ?obs
       |> with_durability (durability_of_plan scenario.plan))
   in
   let rc = Reconfig.of_config ~config ~initial ~universe () in
-  let engine =
-    Engine.create ~seed:(seed + 1) ~nodes:universe ~network ?obs
-      (Reconfig.handlers rc)
+  let engine, rng =
+    start ~seed ?obs ~nodes:universe ~bind:(Reconfig.bind rc)
+      (Reconfig.handlers rc) scenario
   in
-  Reconfig.bind rc engine;
-  apply engine ~rng scenario;
   (* Two switches, timed to overlap the scenario's fault windows. *)
   let switch_at frac target =
     Engine.schedule engine ~time:(frac *. scenario.horizon) (fun () ->
@@ -634,9 +619,6 @@ let run_reconfig_h ?(seed = 7) ?(rate = 1.0) ?(op_timeout = 25.0) ?obs
       budget_hit = outcome = Engine.Budget_exhausted;
     },
     rc )
-
-let run_reconfig ?seed ?rate ?op_timeout ?obs ~initial ~next ~name scenario =
-  fst (run_reconfig_h ?seed ?rate ?op_timeout ?obs ~initial ~next ~name scenario)
 
 (* --- Availability under sustained churn ------------------------------ *)
 
@@ -689,8 +671,6 @@ type churn_report = {
 let run_churn_h ?(seed = 7) ?(rate = 2.0) ?(op_timeout = 30.0) ?(rows = 5)
     ?(period = 8.0) ?(lease = 8.0) ?(margin = 6) ?obs ~mode ~universe scenario
     =
-  let rng = Rng.create seed in
-  let network = Network.create ~loss:scenario.plan.loss () in
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let ms =
     Membership.create
@@ -706,12 +686,10 @@ let run_churn_h ?(seed = 7) ?(rate = 2.0) ?(op_timeout = 30.0) ?(rows = 5)
       ~switch_retry:3.0 ~margin ~rows ~universe ~timeout:op_timeout ()
   in
   let rc = Membership.reconfig ms in
-  let engine =
-    Engine.create ~seed:(seed + 1) ~nodes:universe ~network ~obs
-      (Membership.handlers ms)
+  let engine, rng =
+    start ~seed ~obs ~nodes:universe ~bind:(Membership.bind ms)
+      (Membership.handlers ms) scenario
   in
-  Membership.bind ms engine;
-  apply engine ~rng scenario;
   (match mode with
   | Static -> ()
   | Resize | Timed | Fd ->
@@ -763,12 +741,6 @@ let run_churn_h ?(seed = 7) ?(rate = 2.0) ?(op_timeout = 30.0) ?(rows = 5)
       budget_hit = outcome = Engine.Budget_exhausted;
     },
     ms )
-
-let run_churn ?seed ?rate ?op_timeout ?rows ?period ?lease ?margin ?obs
-    ~mode ~universe scenario =
-  fst
-    (run_churn_h ?seed ?rate ?op_timeout ?rows ?period ?lease ?margin ?obs
-       ~mode ~universe scenario)
 
 (* --- Rendering ------------------------------------------------------ *)
 

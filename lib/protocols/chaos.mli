@@ -67,7 +67,7 @@ val churn : n:int -> horizon:float -> scenario list
     come back amnesiac and must be re-synced on admission) and
     [churn-partition] (churn with a minority cut on top).  These are
     the scenarios the dynamic-membership controller (see
-    {!Membership}) is built for; {!run_churn} runs them. *)
+    {!Membership}) is built for; {!run_churn_h} runs them. *)
 
 val fd_family : n:int -> horizon:float -> scenario list
 (** The failure-detection stress family — each scenario makes a
@@ -77,7 +77,7 @@ val fd_family : n:int -> horizon:float -> scenario list
     (directed link loss so observers {e disagree} about who is dead;
     no crashes — every suspicion is false), [suspect-burst] (heavy
     loss bursts swallowing whole heartbeat rounds; again no crashes).
-    {!run_fd} runs them with the detector as the unit under test. *)
+    {!run_fd_h} runs them with the detector as the unit under test. *)
 
 val scenario_of_label : n:int -> horizon:float -> string -> scenario
 (** Look a scenario up by label across {!standard}, {!recovery},
@@ -91,6 +91,21 @@ val durability_of_plan : plan -> Sim.Durable.config
 val apply : 'msg Sim.Engine.t -> rng:Quorum.Rng.t -> scenario -> unit
 (** Install the scenario's fault plan on a freshly built engine (base
     [loss] is {e not} applied — pass it to [Network.create]). *)
+
+val start :
+  seed:int ->
+  ?obs:Obs.t ->
+  nodes:int ->
+  bind:('msg Sim.Engine.t -> unit) ->
+  'msg Sim.Engine.handlers ->
+  scenario ->
+  'msg Sim.Engine.t * Quorum.Rng.t
+(** The set-up every runner here and {!Throughput.run_h} shares before
+    its workload: a network with the plan's base loss, an engine of
+    [nodes] nodes seeded [seed + 1] around the protocol's handlers,
+    [bind] called on it, the fault plan {!apply}'d.  Returns the engine
+    and the workload's rng, seeded [seed] and drawn first by the fault
+    plan. *)
 
 type mutex_report = {
   label : string;
@@ -109,21 +124,6 @@ type mutex_report = {
   budget_hit : bool;  (** event budget exhausted — run truncated *)
 }
 
-val run_mutex :
-  ?seed:int ->
-  ?rate:float ->
-  ?cs_duration:float ->
-  ?acquire_timeout:float ->
-  ?obs:Obs.t ->
-  system:Quorum.System.t ->
-  scenario ->
-  mutex_report
-(** One seeded mutex run under the scenario: Poisson acquisition
-    requests at [rate] per time unit over the horizon, then drain.
-    Pass [?obs] to keep the run's metrics registry, trace and spans
-    for inspection or dumping; omitted, the run still records into a
-    private one. *)
-
 val run_mutex_h :
   ?seed:int ->
   ?rate:float ->
@@ -133,7 +133,11 @@ val run_mutex_h :
   system:Quorum.System.t ->
   scenario ->
   mutex_report * Mutex.t
-(** {!run_mutex}, additionally handing back the protocol instance so
+(** One seeded mutex run under the scenario: Poisson acquisition
+    requests at [rate] per time unit over the horizon, then drain.
+    Pass [?obs] to keep the run's metrics registry, trace and spans
+    for inspection or dumping; omitted, the run still records into a
+    private one.  The protocol instance comes back with the report so
     post-run state (e.g. for {!Obs.Trace_analysis}) stays reachable. *)
 
 type store_report = {
@@ -156,31 +160,9 @@ type store_report = {
   budget_hit : bool;
 }
 
-val run_store :
-  ?seed:int ->
-  ?rate:float ->
-  ?read_fraction:float ->
-  ?workload:Analysis.Workload.t ->
-  ?keys:int ->
-  ?op_timeout:float ->
-  ?retries:int ->
-  ?obs:Obs.t ->
-  read_system:Quorum.System.t ->
-  write_system:Quorum.System.t ->
-  name:string ->
-  scenario ->
-  store_report
-(** One seeded replicated-store run: a read/write mix at [rate] ops
-    per time unit; [name] labels the (read, write) system pair in the
-    report.  The mix's read fraction comes from [?workload] (the
-    unified [Analysis.Workload.t] spec) when given; [?read_fraction]
-    is the bare-float compatibility shim (default 0.7, ignored when
-    both are passed). *)
-
 val run_store_h :
   ?seed:int ->
   ?rate:float ->
-  ?read_fraction:float ->
   ?workload:Analysis.Workload.t ->
   ?keys:int ->
   ?op_timeout:float ->
@@ -191,8 +173,11 @@ val run_store_h :
   name:string ->
   scenario ->
   store_report * Replicated_store.t
-(** {!run_store}, additionally handing back the store so its
-    {!Replicated_store.history} can feed
+(** One seeded replicated-store run: a read/write mix at [rate] ops
+    per time unit; [name] labels the (read, write) system pair in the
+    report.  The mix's read fraction is [?workload]'s (default 0.7);
+    the workload's other fields do not shape the mix.  The store comes
+    back with the report so its {!Replicated_store.history} can feed
     {!Obs.Trace_analysis.audit_history}. *)
 
 type fd_report = {
@@ -216,32 +201,6 @@ type fd_report = {
   budget_hit : bool;
 }
 
-val run_fd :
-  ?seed:int ->
-  ?rate:float ->
-  ?keys:int ->
-  ?op_timeout:float ->
-  ?fd_period:float ->
-  ?fd_timeout:float ->
-  ?accrual:float ->
-  ?hedge:bool ->
-  ?degraded_reads:bool ->
-  ?obs:Obs.t ->
-  read_system:Quorum.System.t ->
-  write_system:Quorum.System.t ->
-  name:string ->
-  scenario ->
-  fd_report
-(** One seeded failure-detection run: a replicated store (clients
-    route by detector view) under the scenario, with the detector
-    configuration as the independent variable — [fd_timeout] alone
-    gives the fixed-timeout detector, [accrual] switches to the
-    phi-accrual detector at that threshold, [hedge] /
-    [degraded_reads] enable the suspicion-aware routing knobs (see
-    {!Client_config.routing}).  The report aggregates every node's
-    oracle-measured accuracy counters; sweeping [fd_timeout] or
-    [accrual] maps the detection-time vs false-positive tradeoff. *)
-
 val run_fd_h :
   ?seed:int ->
   ?rate:float ->
@@ -258,7 +217,16 @@ val run_fd_h :
   name:string ->
   scenario ->
   fd_report * Replicated_store.t
-(** {!run_fd}, additionally handing back the store so per-node
+(** One seeded failure-detection run: a replicated store (clients
+    route by detector view) under the scenario, with the detector
+    configuration as the independent variable — [fd_timeout] alone
+    gives the fixed-timeout detector, [accrual] switches to the
+    phi-accrual detector at that threshold, [hedge] /
+    [degraded_reads] enable the suspicion-aware routing knobs (see
+    {!Client_config.routing}).  The report aggregates every node's
+    oracle-measured accuracy counters; sweeping [fd_timeout] or
+    [accrual] maps the detection-time vs false-positive tradeoff.
+    The store comes back with the report so per-node
     {!Replicated_store.fd_stats} stay reachable (the [quorumctl fd]
     table). *)
 
@@ -277,21 +245,6 @@ type reconfig_report = {
   budget_hit : bool;
 }
 
-val run_reconfig :
-  ?seed:int ->
-  ?rate:float ->
-  ?op_timeout:float ->
-  ?obs:Obs.t ->
-  initial:Quorum.System.t ->
-  next:Quorum.System.t ->
-  name:string ->
-  scenario ->
-  reconfig_report
-(** One seeded reconfiguration run: a read/write mix on the register
-    while the configuration is switched [initial → next → initial] at
-    0.35 and 0.70 of the horizon — under a recovery scenario the
-    restart windows land {e during} the seal / install sequence. *)
-
 val run_reconfig_h :
   ?seed:int ->
   ?rate:float ->
@@ -302,9 +255,12 @@ val run_reconfig_h :
   name:string ->
   scenario ->
   reconfig_report * Reconfig.t
-(** {!run_reconfig}, additionally handing back the protocol instance
-    so its {!Reconfig.history} can feed
-    {!Obs.Trace_analysis.audit_history}. *)
+(** One seeded reconfiguration run: a read/write mix on the register
+    while the configuration is switched [initial → next → initial] at
+    0.35 and 0.70 of the horizon — under a recovery scenario the
+    restart windows land {e during} the seal / install sequence.  The
+    register comes back with the report so its {!Reconfig.history}
+    can feed {!Obs.Trace_analysis.audit_history}. *)
 
 type churn_mode =
   | Static  (** the t=0 configuration is never changed *)
@@ -347,29 +303,6 @@ type churn_report = {
   budget_hit : bool;
 }
 
-val run_churn :
-  ?seed:int ->
-  ?rate:float ->
-  ?op_timeout:float ->
-  ?rows:int ->
-  ?period:float ->
-  ?lease:float ->
-  ?margin:int ->
-  ?obs:Obs.t ->
-  mode:churn_mode ->
-  universe:int ->
-  scenario ->
-  churn_report
-(** One seeded availability-under-churn run: a membership-managed
-    h-triang register (initially [rows] rows, identity-placed on a
-    [universe]-process engine) serving a Poisson read/write mix while
-    the scenario's faults land.  Clients are drawn from the live set
-    at issue time, so [availability] measures the service, not the
-    workload generator.  [period] is the controller tick interval
-    (ignored for [Static]); [lease] the validity window for [Timed];
-    [margin] (default 6) the controller's spare-headroom hysteresis
-    (see {!Membership.create}). *)
-
 val run_churn_h :
   ?seed:int ->
   ?rate:float ->
@@ -383,8 +316,17 @@ val run_churn_h :
   universe:int ->
   scenario ->
   churn_report * Membership.t
-(** {!run_churn}, additionally handing back the membership controller
-    (and through it the register) for post-run inspection. *)
+(** One seeded availability-under-churn run: a membership-managed
+    h-triang register (initially [rows] rows, identity-placed on a
+    [universe]-process engine) serving a Poisson read/write mix while
+    the scenario's faults land.  Clients are drawn from the live set
+    at issue time, so [availability] measures the service, not the
+    workload generator.  [period] is the controller tick interval
+    (ignored for [Static]); [lease] the validity window for [Timed];
+    [margin] (default 6) the controller's spare-headroom hysteresis
+    (see {!Membership.create}).  The membership controller (and
+    through it the register) comes back with the report for post-run
+    inspection. *)
 
 val mutex_header : unit -> string
 val mutex_row : mutex_report -> string

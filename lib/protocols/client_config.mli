@@ -1,13 +1,11 @@
 (** The one client-facing configuration record shared by every quorum
     protocol ({!Replicated_store}, {!Mutex}, {!Reconfig}).
 
-    Historically each protocol's [create] grew its own sprawl of nine
-    optional keyword arguments (rpc timeout/backoff/attempts, failure
-    detector period/timeout, durability, operation timeout, retries);
-    this record is now the primary entry — build one with {!default}
-    and the [with_*] builders, hand it to the protocol's [of_config],
-    and reserve the old keyword [create]s (kept as one-deep shims) for
-    existing call sites.
+    It holds every client-side tunable (rpc timeout/backoff/attempts,
+    failure detector period/timeout, routing, durability, operation
+    timeout, retries).  Build one with {!default} and the [with_*]
+    builders and hand it to the protocol's [of_config], its only
+    constructor.
 
     {[
       let cfg =

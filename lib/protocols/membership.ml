@@ -48,25 +48,19 @@ let create ?durability ?lease ?skew ?switch_retry ?(margin = 2)
     invalid_arg "Membership.create: universe smaller than the triangle";
   let place = Array.init tri.Htriang.n Fun.id in
   let initial = remap_system ~universe tri place in
+  let d = Client_config.default in
+  let config =
+    {
+      d with
+      timeout;
+      durability = Option.value durability ~default:d.durability;
+      fd = Option.value fd ~default:d.fd;
+    }
+  in
   let reconfig =
-    match view with
-    | Omniscient ->
-        Reconfig.create ?durability ?lease ?skew ?switch_retry ~initial
-          ~universe ~timeout ()
-    | Fd _ ->
-        let config = Client_config.(default |> with_timeout timeout) in
-        let config =
-          match durability with
-          | Some d -> Client_config.with_durability d config
-          | None -> config
-        in
-        let config =
-          match fd with
-          | Some f -> { config with Client_config.fd = f }
-          | None -> config
-        in
-        Reconfig.of_config ~config ~with_fd:true ?lease ?skew ?switch_retry
-          ~initial ~universe ()
+    Reconfig.of_config ~config
+      ~with_fd:(match view with Fd _ -> true | Omniscient -> false)
+      ?lease ?skew ?switch_retry ~initial ~universe ()
   in
   {
     reconfig;

@@ -81,7 +81,7 @@ val create :
     prevents grow/shrink oscillation; under churn a generous margin
     keeps the replacement-switch duty cycle low.
     [lease]/[skew]/[switch_retry]/[durability] are passed through to
-    {!Reconfig.create} ([lease] turns the register timed).
+    {!Reconfig.of_config} ([lease] turns the register timed).
 
     [view] (default [Omniscient]) selects the controller's liveness
     source (see above); with [Fd _] the register is built with a

@@ -109,9 +109,9 @@ type t = {
 
 let of_config ?(config = Client_config.default) ?(capacity = 1) ~system
     ~cs_duration () =
-  if capacity < 1 then invalid_arg "Mutex.create: capacity >= 1";
+  if capacity < 1 then invalid_arg "Mutex.of_config: capacity >= 1";
   if config.Client_config.timeout <= 0.0 then
-    invalid_arg "Mutex.create: acquire_timeout";
+    invalid_arg "Mutex.of_config: acquire_timeout";
   let n = system.Quorum.System.n in
   {
     system;
@@ -157,23 +157,6 @@ let of_config ?(config = Client_config.default) ?(capacity = 1) ~system
     abandoned = 0;
     ins = None;
   }
-
-let create ?capacity ?(acquire_timeout = 1000.0) ?rpc_timeout ?rpc_backoff
-    ?rpc_attempts ?fd_period ?fd_timeout ?durability ~system ~cs_duration () =
-  let config =
-    Client_config.(
-      default
-      |> with_rpc ?timeout:rpc_timeout ?backoff:rpc_backoff
-           ?attempts:rpc_attempts
-      |> with_fd ?period:fd_period ?timeout:fd_timeout
-      |> with_timeout acquire_timeout)
-  in
-  let config =
-    match durability with
-    | Some d -> Client_config.with_durability d config
-    | None -> config
-  in
-  of_config ~config ?capacity ~system ~cs_duration ()
 
 let engine_exn t =
   match t.engine with

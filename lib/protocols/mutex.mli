@@ -58,7 +58,8 @@
 
     Usage:
     {[
-      let mx = Mutex.create ~system ~cs_duration:1.0 () in
+      let config = Client_config.(default |> with_timeout 1000.0) in
+      let mx = Mutex.of_config ~config ~system ~cs_duration:1.0 () in
       let engine = Engine.create ~seed ~nodes:system.n (Mutex.handlers mx) in
       Mutex.bind mx engine;
       Engine.schedule engine ~time:3.0 (fun () -> Mutex.request mx ~node:2);
@@ -98,24 +99,6 @@ val of_config :
     [capacity] (default 1) is the number of simultaneous critical
     sections the system is supposed to allow: 1 for a coterie, [k]
     for a k-coterie (see [Systems.K_coterie]). *)
-
-val create :
-  ?capacity:int ->
-  ?acquire_timeout:float ->
-  ?rpc_timeout:float ->
-  ?rpc_backoff:float ->
-  ?rpc_attempts:int ->
-  ?fd_period:float ->
-  ?fd_timeout:float ->
-  ?durability:Sim.Durable.config ->
-  system:Quorum.System.t ->
-  cs_duration:float ->
-  unit ->
-  t
-(** Compatibility shim over {!of_config}: packs the historical
-    keyword arguments (defaults unchanged — [acquire_timeout]
-    defaults to 1000., not the record's 25.) into a
-    {!Client_config.t}.  New code should build the record instead. *)
 
 val handlers : t -> msg Sim.Engine.handlers
 

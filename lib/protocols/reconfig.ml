@@ -102,9 +102,7 @@ type t = {
       (** per-node suspected-live views; [None] keeps the historical
           omniscient [Engine.live_set] selection *)
   routing : Client_config.routing;
-  lat_ring : float array array;  (** per-peer reply-latency samples *)
-  lat_len : int array;
-  lat_pos : int array;
+  lat : Hedge.t;  (** per-peer reply latencies *)
   mutable hedges : int;
   mutable configs : System.t list;  (** index = epoch *)
   mutable epoch : int;  (** latest announced epoch (global knowledge) *)
@@ -135,13 +133,13 @@ let of_config ?(config = Client_config.default) ?(with_fd = false) ?lease
   let durability = config.Client_config.durability in
   let timeout = config.Client_config.timeout in
   if initial.System.n > universe then
-    invalid_arg "Reconfig.create: configuration exceeds universe";
+    invalid_arg "Reconfig.of_config: configuration exceeds universe";
   let switch_retry = Option.value switch_retry ~default:timeout in
-  if switch_retry <= 0.0 then invalid_arg "Reconfig.create: switch_retry";
+  if switch_retry <= 0.0 then invalid_arg "Reconfig.of_config: switch_retry";
   (match lease with
-  | Some d when d <= 0.0 -> invalid_arg "Reconfig.create: lease"
+  | Some d when d <= 0.0 -> invalid_arg "Reconfig.of_config: lease"
   | _ -> ());
-  if skew < 0.0 then invalid_arg "Reconfig.create: skew";
+  if skew < 0.0 then invalid_arg "Reconfig.of_config: skew";
   let fd =
     if with_fd then
       Some
@@ -164,9 +162,7 @@ let of_config ?(config = Client_config.default) ?(with_fd = false) ?lease
     engine = None;
     fd;
     routing = config.Client_config.routing;
-    lat_ring = Array.init universe (fun _ -> Array.make 32 0.0);
-    lat_len = Array.make universe 0;
-    lat_pos = Array.make universe 0;
+    lat = Hedge.create config.Client_config.routing universe;
     hedges = 0;
     configs = [ initial ];
     epoch = 0;
@@ -195,16 +191,6 @@ let of_config ?(config = Client_config.default) ?(with_fd = false) ?lease
     committed = [];
     history = [];
   }
-
-let create ?durability ?lease ?skew ?switch_retry ~initial ~universe ~timeout
-    () =
-  let config = Client_config.(default |> with_timeout timeout) in
-  let config =
-    match durability with
-    | Some d -> Client_config.with_durability d config
-    | None -> config
-  in
-  of_config ~config ?lease ?skew ?switch_retry ~initial ~universe ()
 
 let engine_exn t =
   match t.engine with
@@ -337,34 +323,6 @@ let select_live_quorum t engine ~node (system : System.t) =
 
 (* --- Client side ---------------------------------------------------- *)
 
-(* Per-peer reply-latency ring (32 samples), only maintained when
-   hedging is on: the hedge fires at the worst [hedge_quantile] of the
-   quorum's members, floored by [hedge_floor]. *)
-let record_latency t ~peer sample =
-  if t.routing.Client_config.hedge then begin
-    t.lat_ring.(peer).(t.lat_pos.(peer)) <- sample;
-    t.lat_pos.(peer) <- (t.lat_pos.(peer) + 1) mod 32;
-    if t.lat_len.(peer) < 32 then t.lat_len.(peer) <- t.lat_len.(peer) + 1
-  end
-
-let hedge_delay t waiting =
-  let q = t.routing.Client_config.hedge_quantile in
-  let worst = ref 0.0 in
-  Bitset.iter
-    (fun j ->
-      let len = t.lat_len.(j) in
-      if len > 0 then begin
-        let samples = Array.sub t.lat_ring.(j) 0 len in
-        Array.sort compare samples;
-        let idx =
-          max 0
-            (min (len - 1) (int_of_float (ceil (q *. float_of_int len)) - 1))
-        in
-        if samples.(idx) > !worst then worst := samples.(idx)
-      end)
-    waiting;
-  Float.max t.routing.Client_config.hedge_floor !worst
-
 (* Select a quorum in the configuration of the client's current view
    and start (or restart) the version phase of [op].  Transient
    unavailability (no live quorum right now — e.g. churn ahead of the
@@ -443,7 +401,7 @@ and arm_hedge t (op : op) =
     let engine = engine_exn t in
     let attempt = op.attempt in
     let phase = op.phase in
-    let delay = hedge_delay t op.waiting_for in
+    let delay = Hedge.delay t.lat op.waiting_for in
     Engine.schedule engine
       ~time:(Engine.now engine +. delay)
       (fun () ->
@@ -465,23 +423,12 @@ and hedge_round t (op : op) =
     | Install_phase, Write_op value -> Some (op.write_version, value)
     | _ -> None
   in
-  let cursor = ref 0 in
-  Bitset.iter
-    (fun _straggler ->
-      let found = ref false in
-      while (not !found) && !cursor < system.System.n do
-        let j = !cursor in
-        incr cursor;
-        if Bitset.mem view j && not (Bitset.mem op.targets j) then begin
-          found := true;
-          Bitset.add op.targets j;
-          t.hedges <- t.hedges + 1;
-          Engine.with_span_ctx engine op.span (fun () ->
-              Engine.send engine ~src:op.client ~dst:j
-                (Op_req { op = op.id; epoch = op.epoch; write = payload }))
-        end
-      done)
-    op.waiting_for
+  Hedge.pick_backups ~view ~targets:op.targets ~limit:system.System.n
+    op.waiting_for (fun j ->
+      t.hedges <- t.hedges + 1;
+      Engine.with_span_ctx engine op.span (fun () ->
+          Engine.send engine ~src:op.client ~dst:j
+            (Op_req { op = op.id; epoch = op.epoch; write = payload })))
 
 let start t ~client kind =
   let engine = engine_exn t in
@@ -883,7 +830,7 @@ let handlers t : msg Engine.handlers =
             | Some op ->
                 if Bitset.mem op.targets src && not (Bitset.mem op.acked src)
                 then begin
-                  record_latency t ~peer:src
+                  Hedge.record t.lat ~peer:src
                     (Engine.now engine -. op.last_send);
                   Bitset.add op.acked src;
                   if Bitset.mem op.waiting_for src then

@@ -128,20 +128,6 @@ val of_config :
     of stalling the switch.  Smaller values make switches converge
     faster under churn at the cost of extra maintenance traffic. *)
 
-val create :
-  ?durability:Sim.Durable.config ->
-  ?lease:float ->
-  ?skew:float ->
-  ?switch_retry:float ->
-  initial:Quorum.System.t ->
-  universe:int ->
-  timeout:float ->
-  unit ->
-  t
-(** Compatibility shim over {!of_config}: packs [durability] and
-    [timeout] into a {!Client_config.t}.  New code should build the
-    record instead. *)
-
 val handlers : t -> msg Sim.Engine.handlers
 val bind : t -> msg Sim.Engine.t -> unit
 

@@ -176,12 +176,8 @@ type t = {
   mutable degraded_writes : int;
       (** writes refused fast by the degraded read-only mode *)
   mutable degraded : bool;  (** currently in degraded read-only mode *)
-  (* Per-peer completed-request latency samples (bounded ring), the
-     adaptive base of the hedge delay.  Pure bookkeeping: no RNG, no
-     events. *)
-  lat_ring : float array array;
-  lat_len : int array;
-  lat_pos : int array;
+  lat : Hedge.t;
+      (** per-peer completed-request latencies, the hedge delay's base *)
   (* Consistency monitor: per key, the (commit time, version) history
      of completed writes, newest first. *)
   committed : (int, (float * int) list) Hashtbl.t;
@@ -244,36 +240,11 @@ let of_config ?(config = Client_config.default) ?router
     hedges = 0;
     degraded_writes = 0;
     degraded = false;
-    lat_ring = Array.init n (fun _ -> Array.make 32 0.0);
-    lat_len = Array.make n 0;
-    lat_pos = Array.make n 0;
+    lat = Hedge.create config.Client_config.routing n;
     committed = Hashtbl.create 16;
     history = [];
     ins = None;
   }
-
-(* The historical keyword entry, now a shim over the record. *)
-let create ?(retries = 2) ?(rpc_timeout = 4.0) ?(rpc_backoff = 1.6)
-    ?(rpc_attempts = 6) ?(fd_period = 1.0) ?(fd_timeout = 5.0)
-    ?(durability = Durable.instant) ~read_system ~write_system ~timeout () =
-  let config =
-    {
-      Client_config.rpc =
-        {
-          Client_config.timeout = rpc_timeout;
-          backoff = rpc_backoff;
-          attempts = rpc_attempts;
-        };
-      fd =
-        { Client_config.period = fd_period; timeout = fd_timeout;
-          accrual = None };
-      routing = Client_config.default.Client_config.routing;
-      durability;
-      timeout;
-      retries;
-    }
-  in
-  of_config ~config ~read_system ~write_system ()
 
 let engine_exn t =
   match t.engine with
@@ -350,32 +321,6 @@ let emit t (op : op) ~dst payload =
 (* Hedge timers live in their own tag space above the op-id tags. *)
 let hedge_offset = 0x1000_0000
 
-let record_latency t ~peer sample =
-  let ring = t.lat_ring.(peer) in
-  let cap = Array.length ring in
-  ring.(t.lat_pos.(peer)) <- sample;
-  t.lat_pos.(peer) <- (t.lat_pos.(peer) + 1) mod cap;
-  if t.lat_len.(peer) < cap then t.lat_len.(peer) <- t.lat_len.(peer) + 1
-
-(* The hedge delay for an attempt: the worst per-peer latency quantile
-   across the members we are waiting on, floored by the cold-start
-   guard.  Nearest-rank on the peer's recent samples. *)
-let hedge_delay t waiting =
-  let q = t.routing.hedge_quantile in
-  let worst = ref 0.0 in
-  Bitset.iter
-    (fun j ->
-      let len = t.lat_len.(j) in
-      if len > 0 then begin
-        let a = Array.sub t.lat_ring.(j) 0 len in
-        Array.sort compare a;
-        let idx = min (len - 1) (int_of_float (ceil (q *. float_of_int len)) - 1) in
-        let idx = max 0 idx in
-        if a.(idx) > !worst then worst := a.(idx)
-      end)
-    waiting;
-  Float.max t.routing.hedge_floor !worst
-
 (* Degraded read-only mode: latched while the client's view holds no
    write quorum, cleared the first time a write finds one again. *)
 let set_degraded t flag =
@@ -393,7 +338,7 @@ let arm_hedge t (op : op) waiting =
   then begin
     let engine = engine_exn t in
     op.hedge_armed <- op.deadline;
-    Engine.set_timer engine ~node:op.client ~delay:(hedge_delay t waiting)
+    Engine.set_timer engine ~node:op.client ~delay:(Hedge.delay t.lat waiting)
       ~tag:(hedge_offset + op.id)
   end
 
@@ -768,7 +713,7 @@ let on_version_rep t engine ~node op_id ~version ~value =
              guard below is the historical membership test. *)
           if Bitset.mem r.targets node && not (Bitset.mem r.acked node)
           then begin
-            record_latency t ~peer:node (Engine.now engine -. op.last_send);
+            Hedge.record t.lat ~peer:node (Engine.now engine -. op.last_send);
             Bitset.add r.acked node;
             if Bitset.mem r.waiting_for node then
               Bitset.remove r.waiting_for node;
@@ -829,7 +774,7 @@ let on_write_ack t op_id ~node =
       | Writing w ->
           if Bitset.mem w.targets node && not (Bitset.mem w.acked node)
           then begin
-            record_latency t ~peer:node
+            Hedge.record t.lat ~peer:node
               (Engine.now (engine_exn t) -. op.last_send);
             Bitset.add w.acked node;
             if Bitset.mem w.waiting_for node then
@@ -858,7 +803,6 @@ let on_hedge t op_id =
       in
       if not (Bitset.is_empty waiting) then begin
         let view = Failure_detector.view t.fd ~node:op.client in
-        let n = universe t in
         let payload () =
           match (op.phase, op.kind) with
           | Reading _, _ -> Version_req { op = op.id; key = op.key }
@@ -872,24 +816,11 @@ let on_hedge t op_id =
                 }
           | Writing _, Read_op -> assert false
         in
-        let from = ref 0 in
-        Bitset.iter
-          (fun _straggler ->
-            let rec find j =
-              if j >= n then None
-              else if Bitset.mem view j && not (Bitset.mem targets j) then
-                Some j
-              else find (j + 1)
-            in
-            match find !from with
-            | None -> ()
-            | Some b ->
-                from := b + 1;
-                Bitset.add targets b;
-                t.hedges <- t.hedges + 1;
-                Metrics.incr (ins_exn t).st_hedges;
-                rsend t ~src:op.client ~dst:b (payload ()))
-          waiting
+        Hedge.pick_backups ~view ~targets ~limit:(universe t) waiting
+          (fun b ->
+            t.hedges <- t.hedges + 1;
+            Metrics.incr (ins_exn t).st_hedges;
+            rsend t ~src:op.client ~dst:b (payload ()))
       end
   | Some _ | None -> ()
 

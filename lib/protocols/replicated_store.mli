@@ -112,23 +112,6 @@ val of_config :
     chance to push a message through before the whole attempt is
     abandoned. *)
 
-val create :
-  ?retries:int ->
-  ?rpc_timeout:float ->
-  ?rpc_backoff:float ->
-  ?rpc_attempts:int ->
-  ?fd_period:float ->
-  ?fd_timeout:float ->
-  ?durability:Sim.Durable.config ->
-  read_system:Quorum.System.t ->
-  write_system:Quorum.System.t ->
-  timeout:float ->
-  unit ->
-  t
-(** Compatibility shim over {!of_config}: packs the historical
-    keyword arguments into a {!Client_config.t}.  New code should
-    build the record instead. *)
-
 val retried : t -> int
 (** Attempts that failed (timeout or dead-letter) and were retried. *)
 

@@ -1,5 +1,4 @@
 module Engine = Sim.Engine
-module Network = Sim.Network
 module Rng = Quorum.Rng
 module System = Quorum.System
 module Store = Replicated_store
@@ -108,8 +107,6 @@ let run_h ?(seed = 7) ?config ?(mode = Closed) ?(window = 4) ?(batch_size = 4)
   let n = read_system.System.n in
   let keys = match keys with Some k -> k | None -> 2 * n in
   let horizon = scenario.Chaos.horizon in
-  let rng = Rng.create seed in
-  let network = Network.create ~loss:scenario.Chaos.plan.Chaos.loss () in
   let config =
     match config with
     | Some c -> c
@@ -121,12 +118,10 @@ let run_h ?(seed = 7) ?config ?(mode = Closed) ?(window = 4) ?(batch_size = 4)
   let store =
     Store.of_config ~config ?router ~service ~read_system ~write_system ()
   in
-  let engine =
-    Engine.create ~seed:(seed + 1) ~nodes:n ~network ?obs
-      (Store.handlers store)
+  let engine, rng =
+    Chaos.start ~seed ?obs ~nodes:n ~bind:(Store.bind store)
+      (Store.handlers store) scenario
   in
-  Store.bind store engine;
-  Chaos.apply engine ~rng scenario;
   let sessions =
     Array.init n (fun client ->
         Store.Session.create store ~client ~window ~batch_size ~batch_delay
@@ -236,20 +231,13 @@ let run_h ?(seed = 7) ?config ?(mode = Closed) ?(window = 4) ?(batch_size = 4)
     },
     store )
 
-let run ?seed ?config ?mode ?window ?batch_size ?batch_delay ?max_queue
-    ?read_fraction ?keys ?service ?router ?obs ~read_system ~write_system
-    ~name scenario =
-  fst
-    (run_h ?seed ?config ?mode ?window ?batch_size ?batch_delay ?max_queue
-       ?read_fraction ?keys ?service ?router ?obs ~read_system ~write_system
-       ~name scenario)
-
 let run_arm ?seed ?config ?mode ?window ?batch_size ?batch_delay ?max_queue
     ?read_fraction ?keys ?service ?obs arm scenario =
-  run ?seed ?config ?mode ?window ?batch_size ?batch_delay ?max_queue
-    ?read_fraction ?keys ?service ?obs ?router:arm.router
-    ~read_system:arm.read_sys ~write_system:arm.write_sys ~name:arm.arm_label
-    scenario
+  fst
+    (run_h ?seed ?config ?mode ?window ?batch_size ?batch_delay ?max_queue
+       ?read_fraction ?keys ?service ?obs ?router:arm.router
+       ~read_system:arm.read_sys ~write_system:arm.write_sys
+       ~name:arm.arm_label scenario)
 
 (* --- Rendering ------------------------------------------------------- *)
 

@@ -107,26 +107,6 @@ val run_h :
     {!Replicated_store.no_service} for the historical zero-cost
     model), durability from the scenario plan. *)
 
-val run :
-  ?seed:int ->
-  ?config:Client_config.t ->
-  ?mode:mode ->
-  ?window:int ->
-  ?batch_size:int ->
-  ?batch_delay:float ->
-  ?max_queue:int ->
-  ?read_fraction:float ->
-  ?keys:int ->
-  ?service:Replicated_store.service ->
-  ?router:Shard_router.t ->
-  ?obs:Obs.t ->
-  read_system:Quorum.System.t ->
-  write_system:Quorum.System.t ->
-  name:string ->
-  Chaos.scenario ->
-  report
-(** {!run_h} without the store handle. *)
-
 val run_arm :
   ?seed:int ->
   ?config:Client_config.t ->
@@ -142,7 +122,8 @@ val run_arm :
   arm ->
   Chaos.scenario ->
   report
-(** {!run} with systems and router taken from the arm. *)
+(** {!run_h} with systems and router taken from the arm, without the
+    store handle. *)
 
 (** {2 Rendering} *)
 

@@ -65,34 +65,26 @@ let staggered_requests engine ~every ~count issue =
       (fun () -> issue ~client)
   done
 
-let read_write_mix engine ~rng ~rate ~horizon ~read_fraction ~keys ~read
-    ~write =
-  if read_fraction < 0.0 || read_fraction > 1.0 then
-    invalid_arg "Workload.read_write_mix: read_fraction";
-  if keys <= 0 then invalid_arg "Workload.read_write_mix: keys";
-  let times = poisson_times rng ~rate ~horizon in
-  let counter = ref 0 in
-  List.iter
-    (fun time ->
-      let client = Rng.int rng (Engine.nodes engine) in
-      let key = Rng.int rng keys in
-      let is_read = Rng.bernoulli rng read_fraction in
-      incr counter;
-      let value = !counter in
-      Engine.schedule engine ~time (fun () ->
-          if is_read then read ~client ~key else write ~client ~key ~value))
-    times;
-  List.length times
-
-let read_write_mix_w engine ~rng ~rate ~horizon ~workload ~keys ~read ~write =
+let read_write_mix engine ~rng ~rate ~horizon ~workload ~keys ~read ~write =
   match Analysis.Workload.validate workload ~n:(Engine.nodes engine) with
   | Error _ as e -> e
   | Ok () ->
-      if keys <= 0 then Error "Workload.read_write_mix_w: keys must be positive"
+      if keys <= 0 then Error "Workload.read_write_mix: keys must be positive"
       else if rate <= 0.0 || horizon <= 0.0 then
-        Error "Workload.read_write_mix_w: rate and horizon must be positive"
+        Error "Workload.read_write_mix: rate and horizon must be positive"
       else
-        Ok
-          (read_write_mix engine ~rng ~rate ~horizon
-             ~read_fraction:workload.Analysis.Workload.read_fraction ~keys
-             ~read ~write)
+        let read_fraction = workload.Analysis.Workload.read_fraction in
+        let times = poisson_times rng ~rate ~horizon in
+        let counter = ref 0 in
+        List.iter
+          (fun time ->
+            let client = Rng.int rng (Engine.nodes engine) in
+            let key = Rng.int rng keys in
+            let is_read = Rng.bernoulli rng read_fraction in
+            incr counter;
+            let value = !counter in
+            Engine.schedule engine ~time (fun () ->
+                if is_read then read ~client ~key
+                else write ~client ~key ~value))
+          times;
+        Ok (List.length times)

@@ -64,26 +64,13 @@ val read_write_mix :
   rng:Quorum.Rng.t ->
   rate:float ->
   horizon:float ->
-  read_fraction:float ->
-  keys:int ->
-  read:(client:int -> key:int -> unit) ->
-  write:(client:int -> key:int -> value:int -> unit) ->
-  int
-(** Poisson arrivals of reads/writes over a small key space.
-    Compatibility shim over {!read_write_mix_w} for callers with a bare
-    read fraction; raises [Invalid_argument] on bad parameters — new
-    code should pass an [Analysis.Workload.t] instead. *)
-
-val read_write_mix_w :
-  'msg Sim.Engine.t ->
-  rng:Quorum.Rng.t ->
-  rate:float ->
-  horizon:float ->
   workload:Analysis.Workload.t ->
   keys:int ->
   read:(client:int -> key:int -> unit) ->
   write:(client:int -> key:int -> value:int -> unit) ->
   (int, string) result
-(** {!read_write_mix} driven by the unified workload spec: the mix uses
-    [workload.read_fraction], and the workload is validated against the
-    engine's node count first.  [Error] instead of raising. *)
+(** Poisson arrivals of reads/writes over [keys] keys, each a read
+    with probability [workload.read_fraction]; returns the number of
+    scheduled ops.  The workload is validated against the engine's
+    node count first; [Error] on that, on non-positive [keys], [rate]
+    or [horizon]. *)

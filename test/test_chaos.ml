@@ -162,8 +162,8 @@ let test_mutex_safe_under_every_scenario () =
   let system = Core.Registry.build_exn "htriang(10)" in
   List.iter
     (fun scenario ->
-      let r =
-        Protocols.Chaos.run_mutex ~seed:11 ~rate:0.3 ~system scenario
+      let r, _ =
+        Protocols.Chaos.run_mutex_h ~seed:11 ~rate:0.3 ~system scenario
       in
       check_int (scenario.Protocols.Chaos.label ^ ": no violations") 0
         r.Protocols.Chaos.violations;
@@ -183,7 +183,7 @@ let test_mutex_full_service_under_loss () =
         plan = { calm with loss = 0.05 };
       }
   in
-  let r = Protocols.Chaos.run_mutex ~seed:13 ~rate:0.3 ~system scenario in
+  let r, _ = Protocols.Chaos.run_mutex_h ~seed:13 ~rate:0.3 ~system scenario in
   check_int "all served" r.Protocols.Chaos.issued r.Protocols.Chaos.entries;
   check_int "no violations" 0 r.Protocols.Chaos.violations
 
@@ -192,9 +192,9 @@ let test_store_consistent_under_every_scenario () =
   let write_system = Core.Registry.build_exn "hgrid-write(3x3)" in
   List.iter
     (fun scenario ->
-      let r =
-        Protocols.Chaos.run_store ~seed:17 ~rate:1.0 ~read_system ~write_system
-          ~name:"hgrid-r/w(3x3)" scenario
+      let r, _ =
+        Protocols.Chaos.run_store_h ~seed:17 ~rate:1.0 ~read_system
+          ~write_system ~name:"hgrid-r/w(3x3)" scenario
       in
       check_int (scenario.Protocols.Chaos.label ^ ": no stale reads") 0
         r.Protocols.Chaos.stale_reads;
@@ -223,8 +223,8 @@ let test_store_loss_and_partition_acceptance () =
           };
       }
   in
-  let r =
-    Protocols.Chaos.run_store ~seed:19 ~rate:1.5 ~read_system:system
+  let r, _ =
+    Protocols.Chaos.run_store_h ~seed:19 ~rate:1.5 ~read_system:system
       ~write_system:system ~name:"majority(9)" scenario
   in
   check_int "no stale reads" 0 r.Protocols.Chaos.stale_reads;
@@ -246,7 +246,7 @@ let test_mutex_loss_and_partition_acceptance () =
           };
       }
   in
-  let r = Protocols.Chaos.run_mutex ~seed:23 ~rate:0.3 ~system scenario in
+  let r, _ = Protocols.Chaos.run_mutex_h ~seed:23 ~rate:0.3 ~system scenario in
   check_int "no violations" 0 r.Protocols.Chaos.violations;
   check "most requests served" true
     (r.Protocols.Chaos.entries * 10 >= r.Protocols.Chaos.issued * 7)
@@ -256,10 +256,10 @@ let test_chaos_runs_are_reproducible () =
   let scenario =
     List.nth (Protocols.Chaos.standard ~n:10 ~horizon:smoke_horizon) 1
   in
-  let a = Protocols.Chaos.run_mutex ~seed:29 ~system scenario in
-  let b = Protocols.Chaos.run_mutex ~seed:29 ~system scenario in
+  let a, _ = Protocols.Chaos.run_mutex_h ~seed:29 ~system scenario in
+  let b, _ = Protocols.Chaos.run_mutex_h ~seed:29 ~system scenario in
   check "same seed, same report" true (a = b);
-  let c = Protocols.Chaos.run_mutex ~seed:31 ~system scenario in
+  let c, _ = Protocols.Chaos.run_mutex_h ~seed:31 ~system scenario in
   check "different seed, different run" true (a <> c)
 
 (* qcheck: rpc at-most-once delivery holds for arbitrary loss rates,

@@ -393,13 +393,42 @@ let test_htriang_growth_chain () =
   check "chain coterie" true (Coterie.all_intersect quorums);
   check_int "grew by 6" 16 t.Htriang.n
 
+(* [qs] lists the minimal quorums of the monotone [avail] and they form
+   a coterie: each listed set is available, its complement is not (so
+   it meets every quorum, the listed ones included), and dropping any
+   one member makes it unavailable (so it is minimal, and no listed
+   set contains another).  Linear in the number of quorums, where a
+   pairwise intersection check is quadratic. *)
+let coterie_via_avail avail qs =
+  List.for_all
+    (fun q ->
+      let mem = Bitset.mem q in
+      avail mem
+      && (not (avail (fun i -> not (mem i))))
+      && Bitset.for_all (fun i -> not (avail (fun j -> j <> i && mem j))) q)
+    qs
+
+let test_coterie_via_avail_rejects () =
+  let count mem = List.length (List.filter mem [ 0; 1; 2 ]) in
+  let majority3 mem = count mem >= 2 in
+  let sets l = List.map (Bitset.of_list 4) l in
+  check "majority(3) accepted" true
+    (coterie_via_avail majority3 (sets [ [ 0; 1 ]; [ 0; 2 ]; [ 1; 2 ] ]));
+  check "non-minimal quorum rejected" false
+    (coterie_via_avail majority3 (sets [ [ 0; 1 ]; [ 0; 1; 2 ] ]));
+  let two_pairs mem = (mem 0 && mem 1) || (mem 2 && mem 3) in
+  check "disjoint quorums rejected" false
+    (coterie_via_avail two_pairs (sets [ [ 0; 1 ]; [ 2; 3 ] ]))
+
 (* qcheck: an arbitrary interleaving of the paper's growth rules and
    their shrink inverses, started from any standard triangle, keeps
    the quorum set a coterie (pairwise-intersecting antichain) at every
    intermediate step — the invariant the online resize controller
    (Protocols.Membership) relies on when it applies one rule per epoch
    switch.  Rules that do not apply (no growth/shrink site) are
-   skipped, exactly as the controller skips them. *)
+   skipped, exactly as the controller skips them.  The check goes
+   through the triangle's own [avail] ({!coterie_via_avail}), so its
+   cost stays linear in the quorum count whatever the seed. *)
 let htriang_rules_keep_coterie =
   QCheck.Test.make ~count:50
     ~name:"random grow/shrink sequences preserve the coterie"
@@ -418,10 +447,7 @@ let htriang_rules_keep_coterie =
         in
         match rule t with None -> t | Some t' -> t'
       in
-      let sound t =
-        let qs = Htriang.quorums t in
-        Coterie.all_intersect qs && Coterie.is_antichain qs
-      in
+      let sound t = coterie_via_avail (Htriang.avail t) (Htriang.quorums t) in
       let rec go t = function
         | [] -> true
         | op :: rest ->
@@ -524,6 +550,8 @@ let () =
           Alcotest.test_case "select" `Quick test_htriang_select_valid;
           Alcotest.test_case "growth" `Quick test_htriang_growth;
           Alcotest.test_case "growth chain" `Quick test_htriang_growth_chain;
+          Alcotest.test_case "coterie check rejects non-coteries" `Quick
+            test_coterie_via_avail_rejects;
           QCheck_alcotest.to_alcotest htriang_rules_keep_coterie;
         ] );
       ( "registry",

@@ -225,8 +225,8 @@ let test_fd_scenarios_safe () =
     (fun scenario ->
       List.iter
         (fun (accrual, hedge) ->
-          let r =
-            Chaos.run_fd ~seed:47 ?accrual ~hedge ~degraded_reads:hedge
+          let r, _ =
+            Chaos.run_fd_h ~seed:47 ?accrual ~hedge ~degraded_reads:hedge
               ~read_system:system ~write_system:system ~name:"htriang(15)"
               scenario
           in
@@ -246,8 +246,9 @@ let test_fd_run_deterministic () =
     Chaos.scenario_of_label ~n:15 ~horizon:smoke_horizon "suspect-burst"
   in
   let run () =
-    Chaos.run_fd ~seed:47 ~accrual:2.0 ~hedge:true ~read_system:system
-      ~write_system:system ~name:"htriang(15)" scenario
+    fst
+      (Chaos.run_fd_h ~seed:47 ~accrual:2.0 ~hedge:true ~read_system:system
+         ~write_system:system ~name:"htriang(15)" scenario)
   in
   check "same seed, same report" true (run () = run ())
 
@@ -264,8 +265,8 @@ let test_churn_fd_mode_safe () =
         };
     }
   in
-  let r =
-    Chaos.run_churn ~seed:47 ~rows:5 ~period:8.0 ~mode:Chaos.Fd ~universe:30
+  let r, _ =
+    Chaos.run_churn_h ~seed:47 ~rows:5 ~period:8.0 ~mode:Chaos.Fd ~universe:30
       scenario
   in
   check_int "no stale reads under fd-driven membership" 0 r.Chaos.stale_reads;

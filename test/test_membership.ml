@@ -108,8 +108,8 @@ let test_churn_smoke () =
         { C.calm with loss = 0.02; churn_sustained = Some (0.18, 130.0) };
     }
   in
-  let r =
-    C.run_churn ~seed:45 ~rate:2.0 ~op_timeout:30.0 ~rows:5 ~period:8.0
+  let r, _ =
+    C.run_churn_h ~seed:45 ~rate:2.0 ~op_timeout:30.0 ~rows:5 ~period:8.0
       ~lease:3.0 ~mode:C.Timed ~universe:30 scen
   in
   check_int "no stale reads" 0 r.C.stale_reads;

@@ -318,7 +318,7 @@ let test_chaos_run_causality_and_metrics () =
   let scenario =
     Protocols.Chaos.scenario_of_label ~n:10 ~horizon:120.0 "loss+burst"
   in
-  let report = Protocols.Chaos.run_mutex ~seed:7 ~obs ~system scenario in
+  let report, _ = Protocols.Chaos.run_mutex_h ~seed:7 ~obs ~system scenario in
   check_int "safe under chaos" 0 report.Protocols.Chaos.violations;
   check "some entries" true (report.Protocols.Chaos.entries > 0);
   let tr = Obs.trace obs in

@@ -173,7 +173,7 @@ let chaos_fingerprint ~seed ~profile ?span_keep_1_in () =
   let scenario =
     Protocols.Chaos.scenario_of_label ~n:10 ~horizon:60.0 "loss+burst"
   in
-  let report = Protocols.Chaos.run_mutex ~seed ~obs ~system scenario in
+  let report, _ = Protocols.Chaos.run_mutex_h ~seed ~obs ~system scenario in
   (report, obs)
 
 let profiling_is_inert =
@@ -223,7 +223,7 @@ let test_no_sink_allocates_less () =
       Protocols.Chaos.scenario_of_label ~n:10 ~horizon:60.0 "loss+burst"
     in
     let w0 = Gc.minor_words () in
-    ignore (Protocols.Chaos.run_mutex ~seed:11 ~obs ~system scenario);
+    ignore (Protocols.Chaos.run_mutex_h ~seed:11 ~obs ~system scenario);
     Gc.minor_words () -. w0
   in
   let with_sinks = words ~sinks:true and without = words ~sinks:false in

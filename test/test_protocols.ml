@@ -8,9 +8,12 @@ module Rng = Quorum.Rng
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* Acquisitions wait up to 1000 time units before they are abandoned. *)
+let config = Protocols.Client_config.(default |> with_timeout 1000.0)
+
 let run_mutex ?(seed = 1) ?(requests = 30) ?(spacing = 0.1) ?faults spec =
   let system = Core.Registry.build_exn spec in
-  let mx = Protocols.Mutex.create ~system ~cs_duration:0.8 () in
+  let mx = Protocols.Mutex.of_config ~config ~system ~cs_duration:0.8 () in
   let engine =
     Engine.create ~seed ~nodes:system.Quorum.System.n
       (Protocols.Mutex.handlers mx)
@@ -55,7 +58,7 @@ let test_mutex_with_dead_nodes () =
     [ (0.0, Sim.Failure_injector.Crash 0); (0.0, Sim.Failure_injector.Crash 7) ]
   in
   let system = Core.Registry.build_exn "htriang(15)" in
-  let mx = Protocols.Mutex.create ~system ~cs_duration:0.5 () in
+  let mx = Protocols.Mutex.of_config ~config ~system ~cs_duration:0.5 () in
   let engine = Engine.create ~seed:4 ~nodes:15 (Protocols.Mutex.handlers mx) in
   Protocols.Mutex.bind mx engine;
   Sim.Failure_injector.scripted engine faults;
@@ -77,11 +80,24 @@ let test_mutex_waits_positive () =
 
 (* --- Replicated store ---------------------------------------------- *)
 
+(* A Poisson read/write mix on [store]; returns the ops scheduled. *)
+let store_mix store engine ~rng ~rate ~horizon ~read_fraction ~keys =
+  let workload = Result.get_ok (Analysis.Workload.make ~read_fraction ()) in
+  Result.get_ok
+    (Protocols.Workload.read_write_mix engine ~rng ~rate ~horizon ~workload
+       ~keys
+       ~read:(fun ~client ~key ->
+         Protocols.Replicated_store.read store ~client ~key)
+       ~write:(fun ~client ~key ~value ->
+         Protocols.Replicated_store.write store ~client ~key ~value))
+
 let make_store ?(seed = 11) spec_read spec_write =
   let read_system = Core.Registry.build_exn spec_read in
   let write_system = Core.Registry.build_exn spec_write in
   let store =
-    Protocols.Replicated_store.create ~read_system ~write_system ~timeout:50.0 ()
+    Protocols.Replicated_store.of_config
+      ~config:Protocols.Client_config.(default |> with_timeout 50.0)
+      ~read_system ~write_system ()
   in
   let engine =
     Engine.create ~seed ~nodes:read_system.Quorum.System.n
@@ -108,12 +124,8 @@ let test_store_mixed_workload () =
       let store, engine = make_store r w in
       let rng = Rng.create 5 in
       let n =
-        Protocols.Workload.read_write_mix engine ~rng ~rate:2.0 ~horizon:100.0
+        store_mix store engine ~rng ~rate:2.0 ~horizon:100.0
           ~read_fraction:0.7 ~keys:4
-          ~read:(fun ~client ~key ->
-            Protocols.Replicated_store.read store ~client ~key)
-          ~write:(fun ~client ~key ~value ->
-            Protocols.Replicated_store.write store ~client ~key ~value)
       in
       Engine.run engine;
       let done_ =
@@ -137,12 +149,8 @@ let test_store_under_faults () =
     ~mean_downtime:10.0 ~horizon:400.0;
   let rng = Rng.create 6 in
   let n =
-    Protocols.Workload.read_write_mix engine ~rng ~rate:1.0 ~horizon:400.0
+    store_mix store engine ~rng ~rate:1.0 ~horizon:400.0
       ~read_fraction:0.5 ~keys:3
-      ~read:(fun ~client ~key ->
-        Protocols.Replicated_store.read store ~client ~key)
-      ~write:(fun ~client ~key ~value ->
-        Protocols.Replicated_store.write store ~client ~key ~value)
   in
   Engine.run engine;
   let ok =
@@ -165,8 +173,10 @@ let test_store_retries_improve_availability () =
   let run retries =
     let read_system = Core.Registry.build_exn "htriang(15)" in
     let store =
-      Protocols.Replicated_store.create ~retries ~read_system
-        ~write_system:read_system ~timeout:25.0 ()
+      Protocols.Replicated_store.of_config
+        ~config:Protocols.Client_config.(
+          default |> with_timeout 25.0 |> with_retries retries)
+        ~read_system ~write_system:read_system ()
     in
     let engine =
       Engine.create ~seed:41 ~nodes:15
@@ -176,12 +186,8 @@ let test_store_retries_improve_availability () =
     Sim.Failure_injector.iid_faults engine ~rng:(Rng.create 42) ~p:0.15
       ~mean_downtime:12.0 ~horizon:500.0;
     let n =
-      Protocols.Workload.read_write_mix engine ~rng:(Rng.create 43) ~rate:1.0
-        ~horizon:500.0 ~read_fraction:0.5 ~keys:2
-        ~read:(fun ~client ~key ->
-          Protocols.Replicated_store.read store ~client ~key)
-        ~write:(fun ~client ~key ~value ->
-          Protocols.Replicated_store.write store ~client ~key ~value)
+      store_mix store engine ~rng:(Rng.create 43) ~rate:1.0 ~horizon:500.0
+        ~read_fraction:0.5 ~keys:2
     in
     Engine.run engine;
     let ok =
@@ -208,7 +214,9 @@ let test_store_partition_unavailability () =
   let read_system = Core.Registry.build_exn "majority(9)" in
   let write_system = Core.Registry.build_exn "majority(9)" in
   let store =
-    Protocols.Replicated_store.create ~read_system ~write_system ~timeout:20.0 ()
+    Protocols.Replicated_store.of_config
+      ~config:Protocols.Client_config.(default |> with_timeout 20.0)
+      ~read_system ~write_system ()
   in
   let network = Sim.Network.create () in
   let engine =
@@ -229,6 +237,81 @@ let test_store_partition_unavailability () =
   check_int "it fails" 1
     (Protocols.Replicated_store.timeouts store
     + Protocols.Replicated_store.unavailable store)
+
+(* --- Hedging: latency rings, hedge delay, backup choice --------------- *)
+
+module Hedge = Protocols.Hedge
+module Bitset = Quorum.Bitset
+
+let check_float = Alcotest.(check (float 0.0))
+
+(* A tracker for 4 peers hedging at quantile [q] with the given floor,
+   each peer's samples recorded in list order. *)
+let tracker ?(hedge = true) ~q ~floor samples =
+  let routing =
+    Protocols.Client_config.(
+      with_routing ~hedge ~hedge_quantile:q ~hedge_floor:floor default)
+      .routing
+  in
+  let h = Hedge.create routing 4 in
+  List.iter (fun (peer, xs) -> List.iter (Hedge.record h ~peer) xs) samples;
+  h
+
+let delay h peers = Hedge.delay h (Bitset.of_list 4 peers)
+
+let test_hedge_quantile_after_wrap () =
+  (* 40 samples, a permutation of 1..40: the ring keeps the last 32. *)
+  let recorded =
+    List.init 40 (fun i -> float_of_int (((i * 17) mod 40) + 1))
+  in
+  let window =
+    List.filteri (fun i _ -> i >= 8) recorded
+    |> List.sort compare |> Array.of_list
+  in
+  List.iter
+    (fun q ->
+      let rank = int_of_float (ceil (q *. 32.0)) in
+      check_float
+        (Printf.sprintf "nearest rank at q = %g" q)
+        window.(rank - 1)
+        (delay (tracker ~q ~floor:0.0 [ (2, recorded) ]) [ 2 ]))
+    [ 0.01; 0.5; 0.9; 0.99 ];
+  (* 1..40 in order leaves 9..40: the 16th smallest is 24. *)
+  let ascending = List.init 40 (fun i -> float_of_int (i + 1)) in
+  check_float "q = 0.5 of 9..40" 24.0
+    (delay (tracker ~q:0.5 ~floor:0.0 [ (3, ascending) ]) [ 3 ])
+
+let test_hedge_floor () =
+  let empty = tracker ~q:0.9 ~floor:2.5 [] in
+  check_float "empty rings give the floor" 2.5 (delay empty [ 0; 1; 3 ]);
+  check_float "no peers give the floor" 2.5 (delay empty []);
+  let samples = [ (0, [ 0.1; 0.3; 0.2 ]); (1, [ 7.0 ]) ] in
+  let h = tracker ~q:0.9 ~floor:2.0 samples in
+  check_float "floor wins over small samples" 2.0 (delay h [ 0 ]);
+  check_float "worst peer in the set" 7.0 (delay h [ 0; 1 ]);
+  check_float "peers outside the set ignored" 0.3
+    (delay (tracker ~q:0.9 ~floor:0.0 samples) [ 0 ]);
+  check_float "hedging off records nothing" 0.0
+    (delay (tracker ~hedge:false ~q:0.9 ~floor:0.0 samples) [ 0; 1 ])
+
+let test_hedge_pick_backups () =
+  let picks ~limit =
+    let view = Bitset.of_list 8 [ 0; 1; 2; 4; 5; 6; 7 ] (* 3 is suspected *) in
+    let targets = Bitset.of_list 8 [ 0; 1; 2 ] in
+    let sent = ref [] in
+    Hedge.pick_backups ~view ~targets ~limit (Bitset.of_list 8 [ 1; 2 ])
+      (fun b -> sent := b :: !sent);
+    (List.rev !sent, Bitset.to_list targets)
+  in
+  let ilist = Alcotest.(list int) in
+  let sent, targets = picks ~limit:8 in
+  Alcotest.check ilist "distinct backups, skipping targets and suspects"
+    [ 4; 5 ] sent;
+  Alcotest.check ilist "backups join the targets" [ 0; 1; 2; 4; 5 ] targets;
+  let sent, _ = picks ~limit:5 in
+  Alcotest.check ilist "limit bounds the candidates" [ 4 ] sent;
+  let sent, _ = picks ~limit:3 in
+  Alcotest.check ilist "no candidate below the limit" [] sent
 
 let () =
   Alcotest.run "protocols"
@@ -251,5 +334,12 @@ let () =
             test_store_retries_improve_availability;
           Alcotest.test_case "partition" `Quick
             test_store_partition_unavailability;
+        ] );
+      ( "hedge",
+        [
+          Alcotest.test_case "quantile after wrap" `Quick
+            test_hedge_quantile_after_wrap;
+          Alcotest.test_case "floor" `Quick test_hedge_floor;
+          Alcotest.test_case "pick backups" `Quick test_hedge_pick_backups;
         ] );
     ]

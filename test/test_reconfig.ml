@@ -7,8 +7,11 @@ module Reconfig = Protocols.Reconfig
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* Operations time out after 40 time units. *)
+let config = Protocols.Client_config.(default |> with_timeout 40.0)
+
 let setup ~universe ~initial =
-  let rc = Reconfig.create ~initial ~universe ~timeout:40.0 () in
+  let rc = Reconfig.of_config ~config ~initial ~universe () in
   let engine = Engine.create ~seed:31 ~nodes:universe (Reconfig.handlers rc) in
   Reconfig.bind rc engine;
   (rc, engine)
@@ -142,7 +145,9 @@ let test_coordinator_crash_mid_switch () =
      and a fresh coordinator completes the resize afterwards — with
      the pre-crash write still visible in the new configuration. *)
   let initial = Core.Registry.build_exn "htriang(15)" in
-  let rc = Reconfig.create ~switch_retry:3.0 ~initial ~universe:21 ~timeout:40.0 () in
+  let rc =
+    Reconfig.of_config ~config ~switch_retry:3.0 ~initial ~universe:21 ()
+  in
   let engine = Engine.create ~seed:31 ~nodes:21 (Reconfig.handlers rc) in
   Reconfig.bind rc engine;
   Engine.schedule engine ~time:1.0 (fun () ->
@@ -173,8 +178,8 @@ let test_timed_switch () =
      be visible after the install. *)
   let initial = Core.Registry.build_exn "htriang(15)" in
   let rc =
-    Reconfig.create ~lease:4.0 ~switch_retry:3.0 ~initial ~universe:21
-      ~timeout:40.0 ()
+    Reconfig.of_config ~config ~lease:4.0 ~switch_retry:3.0 ~initial
+      ~universe:21 ()
   in
   let engine = Engine.create ~seed:31 ~nodes:21 (Reconfig.handlers rc) in
   Reconfig.bind rc engine;

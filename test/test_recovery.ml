@@ -117,10 +117,12 @@ let test_restarts_validation () =
 let test_amnesiac_replica_refuses_until_synced () =
   let system = Core.Registry.build_exn "majority(5)" in
   let store =
-    Replicated_store.create ~read_system:system ~write_system:system
-      ~timeout:25.0
-      ~durability:(Durable.config ~fsync_latency:0.5 ())
-      ()
+    Replicated_store.of_config
+      ~config:
+        Protocols.Client_config.(
+          default |> with_timeout 25.0
+          |> with_durability (Durable.config ~fsync_latency:0.5 ()))
+      ~read_system:system ~write_system:system ()
   in
   let engine =
     Engine.create ~seed:101 ~nodes:5 (Replicated_store.handlers store)
@@ -166,8 +168,9 @@ let test_amnesiac_replica_refuses_until_synced () =
 let test_plain_restart_needs_no_rejoin () =
   let system = Core.Registry.build_exn "majority(5)" in
   let store =
-    Replicated_store.create ~read_system:system ~write_system:system
-      ~timeout:25.0 ()
+    Replicated_store.of_config
+      ~config:Protocols.Client_config.(default |> with_timeout 25.0)
+      ~read_system:system ~write_system:system ()
   in
   let engine =
     Engine.create ~seed:103 ~nodes:5 (Replicated_store.handlers store)
@@ -200,7 +203,7 @@ let test_mutex_safe_under_recovery_scenarios () =
       in
       List.iter
         (fun scenario ->
-          let r = Chaos.run_mutex ~seed:41 ~rate:0.3 ~system scenario in
+          let r, _ = Chaos.run_mutex_h ~seed:41 ~rate:0.3 ~system scenario in
           check_int
             (name ^ "/" ^ scenario.Chaos.label ^ ": no violations")
             0 r.Chaos.violations;
@@ -229,8 +232,8 @@ let test_store_consistent_under_recovery_scenarios () =
       in
       List.iter
         (fun scenario ->
-          let r =
-            Chaos.run_store ~seed:42 ~rate:1.0 ~read_system ~write_system
+          let r, _ =
+            Chaos.run_store_h ~seed:42 ~rate:1.0 ~read_system ~write_system
               ~name scenario
           in
           check_int
@@ -253,8 +256,8 @@ let test_reconfig_consistent_under_recovery_scenarios () =
   let next = Core.Registry.build_exn "htriang(10)" in
   List.iter
     (fun scenario ->
-      let r =
-        Chaos.run_reconfig ~seed:43 ~rate:1.0 ~initial ~next
+      let r, _ =
+        Chaos.run_reconfig_h ~seed:43 ~rate:1.0 ~initial ~next
           ~name:"majority->htriang" scenario
       in
       check_int
@@ -274,8 +277,12 @@ let test_recovery_scenarios_pinned_and_reproducible () =
     = [ "restart"; "amnesia"; "amnesia-maj" ]);
   let system = Core.Registry.build_exn "majority(9)" in
   let scenario = List.nth recovery_scenarios 2 in
-  let a = Chaos.run_store ~seed:42 ~read_system:system ~write_system:system ~name:"m" scenario in
-  let b = Chaos.run_store ~seed:42 ~read_system:system ~write_system:system ~name:"m" scenario in
+  let run () =
+    fst
+      (Chaos.run_store_h ~seed:42 ~read_system:system ~write_system:system
+         ~name:"m" scenario)
+  in
+  let a = run () and b = run () in
   check "same seed, same run" true (a = b);
   check_int "report carries the seed" 42 a.Chaos.seed
 

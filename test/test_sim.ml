@@ -454,13 +454,15 @@ let golden_store_digest () =
   in
   Protocols.Replicated_store.bind store engine;
   C.apply engine ~rng scenario;
+  let workload = Result.get_ok (Analysis.Workload.make ~read_fraction:0.7 ()) in
   let _issued =
     Protocols.Workload.read_write_mix engine ~rng ~rate:2.0
-      ~horizon:scenario.C.horizon ~read_fraction:0.7 ~keys:4
+      ~horizon:scenario.C.horizon ~workload ~keys:4
       ~read:(fun ~client ~key ->
         Protocols.Replicated_store.read store ~client ~key)
       ~write:(fun ~client ~key ~value ->
         Protocols.Replicated_store.write store ~client ~key ~value)
+    |> Result.get_ok
   in
   ignore (Engine.run_status engine);
   (!digest, seen)

@@ -80,19 +80,16 @@ let final_state store ~n =
 let run_session ~window ~batch_size ~sequential scenario ops =
   let system = test_system () in
   let n = system.Quorum.System.n in
-  let rng = Rng.create seed in
-  let network = Network.create ~loss:scenario.Chaos.plan.Chaos.loss () in
   let config =
     Client_config.(default |> with_timeout 60.0 |> with_retries 8)
   in
   let store =
     Store.of_config ~config ~read_system:system ~write_system:system ()
   in
-  let engine =
-    Engine.create ~seed:(seed + 1) ~nodes:n ~network (Store.handlers store)
+  let engine, _ =
+    Chaos.start ~seed ~nodes:n ~bind:(Store.bind store) (Store.handlers store)
+      scenario
   in
-  Store.bind store engine;
-  Chaos.apply engine ~rng scenario;
   let session =
     Session.create store ~client ~window ~batch_size ~batch_delay:0.5 ()
   in
