@@ -59,7 +59,7 @@ let run_one ~det ~hedge scenario =
   in
   let r, _ =
     C.run_fd_h ~seed ~fd_timeout ?accrual ~hedge ~read_system:system
-      ~write_system:system ~name:spec scenario
+      ~write_system:system scenario
   in
   if r.C.stale_reads > 0 then
     failwith

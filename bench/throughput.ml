@@ -106,9 +106,10 @@ let run () =
             let obs = if n = breakdown_n then Some (Obs.create ()) else None in
             let r =
               check
-                (T.run_arm ~seed ~window ~batch_size:batch ~batch_delay ?obs
-                   arm
-                   (scenario ~label:"closed"))
+                (fst
+                   (T.run_h ~seed ~window ~batch_size:batch ~batch_delay ?obs
+                      arm
+                      (scenario ~label:"closed")))
             in
             Printf.printf "%s\n" (T.row r);
             r)
@@ -152,9 +153,10 @@ let run () =
       (fun arm ->
         let r =
           check
-            (T.run_arm ~seed ~mode:(T.Open open_rate) ~window
-               ~batch_size:batch ~batch_delay ~max_queue:open_queue arm
-               (scenario ~label:"open"))
+            (fst
+               (T.run_h ~seed ~mode:(T.Open open_rate) ~window
+                  ~batch_size:batch ~batch_delay ~max_queue:open_queue arm
+                  (scenario ~label:"open")))
         in
         Printf.printf "%s\n" (T.row r);
         r)
@@ -169,9 +171,10 @@ let run () =
       (fun size ->
         let r =
           check
-            (T.run_arm ~seed ~window ~batch_size:size ~batch_delay
-               (T.htriang_arm ~n)
-               (scenario ~label:Printf.(sprintf "batch=%d" size)))
+            (fst
+               (T.run_h ~seed ~window ~batch_size:size ~batch_delay
+                  (T.htriang_arm ~n)
+                  (scenario ~label:Printf.(sprintf "batch=%d" size))))
         in
         Printf.printf "%s\n" (T.row r);
         r)

@@ -670,8 +670,7 @@ let fd_cmd =
           (fun s ->
             let r, store =
               Protocols.Chaos.run_fd_h ~seed ~fd_timeout:timeout ?accrual:phi
-                ~hedge ~read_system:system ~write_system:system
-                ~name:system.Quorum.System.name s
+                ~hedge ~read_system:system ~write_system:system s
             in
             Printf.printf "%s\n" (Protocols.Chaos.fd_row r);
             if r.Protocols.Chaos.stale_reads > 0 then
@@ -1090,8 +1089,8 @@ let throughput_cmd =
     Printf.printf "%s\n" (Protocols.Throughput.header ());
     List.iter
       (fun arm ->
-        let r =
-          Protocols.Throughput.run_arm ~seed ~mode ~window ~batch_size:batch
+        let r, _ =
+          Protocols.Throughput.run_h ~seed ~mode ~window ~batch_size:batch
             arm s
         in
         Printf.printf "%s\n" (Protocols.Throughput.row r);

@@ -373,7 +373,7 @@ type store_report = {
    issued and whether the event budget ran out.  Only the read fraction
    shapes the mix, so the other workload fields take values every
    engine size accepts (resilience 0 admits a one-process system). *)
-let run_store_mix ~seed ~rate ~read_fraction ~keys ?obs ~config ~read_system
+let run_store_mix ~seed ~rate ~read_fraction ?obs ~config ~read_system
     ~write_system scenario =
   let store =
     Replicated_store.of_config ~config ~read_system ~write_system ()
@@ -390,7 +390,7 @@ let run_store_mix ~seed ~rate ~read_fraction ~keys ?obs ~config ~read_system
   let issued =
     match
       Workload.read_write_mix engine ~rng ~rate ~horizon:scenario.horizon
-        ~workload ~keys
+        ~workload ~keys:4
         ~read:(fun ~client ~key -> Replicated_store.read store ~client ~key)
         ~write:(fun ~client ~key ~value ->
           Replicated_store.write store ~client ~key ~value)
@@ -400,9 +400,8 @@ let run_store_mix ~seed ~rate ~read_fraction ~keys ?obs ~config ~read_system
   in
   (store, issued, Engine.run_status engine = Engine.Budget_exhausted)
 
-let run_store_h ?(seed = 7) ?(rate = 2.0) ?workload ?(keys = 4)
-    ?(op_timeout = 25.0) ?(retries = 2) ?obs ~read_system ~write_system ~name
-    scenario =
+let run_store_h ?(seed = 7) ?(rate = 2.0) ?workload ?obs ~read_system
+    ~write_system ~name scenario =
   let read_fraction =
     match workload with
     | Some w -> w.Analysis.Workload.read_fraction
@@ -410,13 +409,10 @@ let run_store_h ?(seed = 7) ?(rate = 2.0) ?workload ?(keys = 4)
   in
   let config =
     Client_config.(
-      default
-      |> with_timeout op_timeout
-      |> with_retries retries
-      |> with_durability (durability_of_plan scenario.plan))
+      default |> with_durability (durability_of_plan scenario.plan))
   in
   let store, issued, budget_hit =
-    run_store_mix ~seed ~rate ~read_fraction ~keys ?obs ~config ~read_system
+    run_store_mix ~seed ~rate ~read_fraction ?obs ~config ~read_system
       ~write_system scenario
   in
   (* Both op=read and op=write cells of store.op_latency, combined. *)
@@ -479,20 +475,17 @@ type fd_report = {
    accuracy — detection latency, false-positive onsets, missed
    detections, suspicion flips — plus the routing-layer effects
    (hedges, degraded-mode refusals, tail latency). *)
-let run_fd_h ?(seed = 7) ?(rate = 2.0) ?(keys = 4) ?(op_timeout = 25.0)
-    ?(fd_period = 1.0) ?(fd_timeout = 5.0) ?accrual ?(hedge = false)
-    ?(degraded_reads = false) ?obs ~read_system ~write_system ~name scenario =
-  ignore name;
+let run_fd_h ?(seed = 7) ?(fd_timeout = 5.0) ?accrual ?(hedge = false)
+    ?(degraded_reads = false) ?obs ~read_system ~write_system scenario =
   let config =
     Client_config.(
       default
-      |> with_timeout op_timeout
-      |> with_fd ~period:fd_period ~timeout:fd_timeout ?accrual
+      |> with_fd ~timeout:fd_timeout ?accrual
       |> with_routing ~hedge ~degraded_reads
       |> with_durability (durability_of_plan scenario.plan))
   in
   let store, issued, budget_hit =
-    run_store_mix ~seed ~rate ~read_fraction:0.7 ~keys ?obs ~config
+    run_store_mix ~seed ~rate:2.0 ~read_fraction:0.7 ?obs ~config
       ~read_system ~write_system scenario
   in
   let n = read_system.Quorum.System.n in
@@ -572,14 +565,12 @@ type reconfig_report = {
 (* A register being reconfigured back and forth between two systems
    while the scenario's faults land — with restart windows, restarts
    hit {e during} the seal / install sequence. *)
-let run_reconfig_h ?(seed = 7) ?(rate = 1.0) ?(op_timeout = 25.0) ?obs
-    ~initial ~next ~name scenario =
+let run_reconfig_h ?(seed = 7) ?(rate = 1.0) ?obs ~initial ~next ~name
+    scenario =
   let universe = max initial.Quorum.System.n next.Quorum.System.n in
   let config =
     Client_config.(
-      default
-      |> with_timeout op_timeout
-      |> with_durability (durability_of_plan scenario.plan))
+      default |> with_durability (durability_of_plan scenario.plan))
   in
   let rc = Reconfig.of_config ~config ~initial ~universe () in
   let engine, rng =
@@ -669,8 +660,7 @@ type churn_report = {
    that is down submits nothing, so availability measures the
    service's ability to answer, not the workload generator's luck. *)
 let run_churn_h ?(seed = 7) ?(rate = 2.0) ?(op_timeout = 30.0) ?(rows = 5)
-    ?(period = 8.0) ?(lease = 8.0) ?(margin = 6) ?obs ~mode ~universe scenario
-    =
+    ?(period = 8.0) ?(lease = 8.0) ?obs ~mode ~universe scenario =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let ms =
     Membership.create
@@ -683,7 +673,7 @@ let run_churn_h ?(seed = 7) ?(rate = 2.0) ?(op_timeout = 30.0) ?(rows = 5)
         (match mode with
         | Fd -> Membership.Fd { merged = true }
         | Static | Resize | Timed -> Membership.Omniscient)
-      ~switch_retry:3.0 ~margin ~rows ~universe ~timeout:op_timeout ()
+      ~switch_retry:3.0 ~margin:6 ~rows ~universe ~timeout:op_timeout ()
   in
   let rc = Membership.reconfig ms in
   let engine, rng =

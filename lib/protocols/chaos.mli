@@ -164,19 +164,18 @@ val run_store_h :
   ?seed:int ->
   ?rate:float ->
   ?workload:Analysis.Workload.t ->
-  ?keys:int ->
-  ?op_timeout:float ->
-  ?retries:int ->
   ?obs:Obs.t ->
   read_system:Quorum.System.t ->
   write_system:Quorum.System.t ->
   name:string ->
   scenario ->
   store_report * Replicated_store.t
-(** One seeded replicated-store run: a read/write mix at [rate] ops
-    per time unit; [name] labels the (read, write) system pair in the
-    report.  The mix's read fraction is [?workload]'s (default 0.7);
-    the workload's other fields do not shape the mix.  The store comes
+(** One seeded replicated-store run: a read/write mix over 4 keys at
+    [rate] ops per time unit, by a store built from
+    {!Client_config.default} with the plan's durability; [name] labels
+    the (read, write) system pair in the report.  The mix's read
+    fraction is [?workload]'s (default 0.7); the workload's other
+    fields do not shape the mix.  The store comes
     back with the report so its {!Replicated_store.history} can feed
     {!Obs.Trace_analysis.audit_history}. *)
 
@@ -203,10 +202,6 @@ type fd_report = {
 
 val run_fd_h :
   ?seed:int ->
-  ?rate:float ->
-  ?keys:int ->
-  ?op_timeout:float ->
-  ?fd_period:float ->
   ?fd_timeout:float ->
   ?accrual:float ->
   ?hedge:bool ->
@@ -214,12 +209,13 @@ val run_fd_h :
   ?obs:Obs.t ->
   read_system:Quorum.System.t ->
   write_system:Quorum.System.t ->
-  name:string ->
   scenario ->
   fd_report * Replicated_store.t
 (** One seeded failure-detection run: a replicated store (clients
-    route by detector view) under the scenario, with the detector
-    configuration as the independent variable — [fd_timeout] alone
+    route by detector view) serving {!run_store_h}'s default mix (2 ops
+    per time unit, 70% reads, 4 keys) under the scenario, with the
+    detector configuration as the independent variable — [fd_timeout]
+    (default 5.0; the beat period is 1.0) alone
     gives the fixed-timeout detector, [accrual] switches to the
     phi-accrual detector at that threshold, [hedge] /
     [degraded_reads] enable the suspicion-aware routing knobs (see
@@ -248,7 +244,6 @@ type reconfig_report = {
 val run_reconfig_h :
   ?seed:int ->
   ?rate:float ->
-  ?op_timeout:float ->
   ?obs:Obs.t ->
   initial:Quorum.System.t ->
   next:Quorum.System.t ->
@@ -310,7 +305,6 @@ val run_churn_h :
   ?rows:int ->
   ?period:float ->
   ?lease:float ->
-  ?margin:int ->
   ?obs:Obs.t ->
   mode:churn_mode ->
   universe:int ->
@@ -322,9 +316,9 @@ val run_churn_h :
     the scenario's faults land.  Clients are drawn from the live set
     at issue time, so [availability] measures the service, not the
     workload generator.  [period] is the controller tick interval
-    (ignored for [Static]); [lease] the validity window for [Timed];
-    [margin] (default 6) the controller's spare-headroom hysteresis
-    (see {!Membership.create}).  The membership controller (and
+    (ignored for [Static]); [lease] the validity window for [Timed].
+    The controller keeps a spare-headroom margin of 6 (see
+    {!Membership.create}).  The membership controller (and
     through it the register) comes back with the report for post-run
     inspection. *)
 

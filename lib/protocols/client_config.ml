@@ -1,6 +1,5 @@
 module Durable = Sim.Durable
 
-type rpc = { timeout : float; backoff : float; attempts : int }
 type fd = { period : float; timeout : float; accrual : float option }
 
 type routing = {
@@ -11,7 +10,6 @@ type routing = {
 }
 
 type t = {
-  rpc : rpc;
   fd : fd;
   routing : routing;
   durability : Durable.config;
@@ -21,7 +19,6 @@ type t = {
 
 let default =
   {
-    rpc = { timeout = 4.0; backoff = 1.6; attempts = 6 };
     fd = { period = 1.0; timeout = 5.0; accrual = None };
     routing =
       {
@@ -35,16 +32,8 @@ let default =
     retries = 2;
   }
 
-let with_rpc ?timeout ?backoff ?attempts t =
-  {
-    t with
-    rpc =
-      {
-        timeout = Option.value timeout ~default:t.rpc.timeout;
-        backoff = Option.value backoff ~default:t.rpc.backoff;
-        attempts = Option.value attempts ~default:t.rpc.attempts;
-      };
-  }
+let rpc ~wrap =
+  Sim.Rpc.create ~timeout:4.0 ~backoff:1.6 ~max_attempts:6 ~wrap ()
 
 let with_fd ?period ?timeout ?accrual t =
   {
@@ -81,25 +70,3 @@ let fd_mode t =
   | None -> Sim.Failure_detector.Fixed_timeout t.fd.timeout
   | Some threshold ->
       Sim.Failure_detector.Accrual { threshold; window = 20; min_samples = 5 }
-
-let validate t =
-  if t.rpc.timeout <= 0.0 then Error "Client_config: rpc timeout must be > 0"
-  else if t.rpc.backoff < 1.0 then
-    Error "Client_config: rpc backoff must be >= 1"
-  else if t.rpc.attempts < 1 then
-    Error "Client_config: rpc attempts must be >= 1"
-  else if t.fd.period <= 0.0 then
-    Error "Client_config: fd period must be > 0"
-  else if t.fd.timeout <= t.fd.period then
-    Error "Client_config: fd timeout must exceed its period"
-  else if (match t.fd.accrual with Some x -> x <= 0.0 | None -> false) then
-    Error "Client_config: fd accrual threshold must be > 0"
-  else if
-    t.routing.hedge_quantile <= 0.0 || t.routing.hedge_quantile >= 1.0
-  then Error "Client_config: hedge quantile must lie in (0, 1)"
-  else if t.routing.hedge_floor < 0.0 then
-    Error "Client_config: hedge floor must be >= 0"
-  else if t.timeout <= 0.0 then
-    Error "Client_config: operation timeout must be > 0"
-  else if t.retries < 0 then Error "Client_config: retries must be >= 0"
-  else Ok ()

@@ -13,6 +13,10 @@ type t = {
 }
 
 let create (routing : Client_config.routing) n =
+  if routing.hedge_quantile <= 0.0 || routing.hedge_quantile >= 1.0 then
+    invalid_arg "Hedge.create: hedge_quantile must lie in (0, 1)";
+  if routing.hedge_floor < 0.0 then
+    invalid_arg "Hedge.create: hedge_floor must be >= 0";
   let n = if routing.hedge then n else 0 in
   {
     routing;

@@ -1,7 +1,7 @@
-(** Hedged quorum requests, shared by {!Replicated_store} and
-    {!Reconfig}: the per-peer reply-latency record that sets when a
-    straggling request is hedged, and the choice of backup replicas it
-    is duplicated to.  Pure bookkeeping: no RNG draws and no events. *)
+(** Hedged quorum requests of {!Replicated_store}: the per-peer
+    reply-latency record that sets when a straggling request is hedged,
+    and the choice of backup replicas it is duplicated to.  Pure
+    bookkeeping: no RNG draws and no events. *)
 
 type t
 (** The hedging policy of a {!Client_config.routing} and, when it has
@@ -9,7 +9,9 @@ type t
 
 val create : Client_config.routing -> int -> t
 (** A tracker for peers [\[0, n)] with empty rings.  With
-    [routing.hedge] off it allocates no rings and records nothing. *)
+    [routing.hedge] off it allocates no rings and records nothing.
+    Raises [Invalid_argument] unless [hedge_quantile] lies in (0, 1)
+    and [hedge_floor >= 0], whether or not [hedge] is on. *)
 
 val record : t -> peer:int -> float -> unit
 (** Add a reply latency to [peer]'s ring; once the ring holds 32

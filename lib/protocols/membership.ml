@@ -8,8 +8,6 @@ type t = {
   universe : int;
   margin : int;
   view : view;
-  down_streak : int;
-  up_streak : int;
   eff_live : bool array;
       (* the controller's hysteresis-filtered liveness opinion *)
   streak : int array;  (* consecutive ticks disagreeing with eff_live *)
@@ -21,7 +19,6 @@ type t = {
   mutable grows : int;
   mutable shrinks : int;
   mutable replacements : int;
-  mutable skipped : int;
   mutable false_evictions : int;
       (* proposals that dropped a node the engine oracle knew was live *)
 }
@@ -37,12 +34,14 @@ let remap_system ~universe (tri : Htriang.t) (place : int array) =
   let name = Printf.sprintf "h-triang(%d)/%d" tri.Htriang.n universe in
   System.embed ~name ~universe ~place (Htriang.system tri)
 
-let create ?durability ?lease ?skew ?switch_retry ?(margin = 2)
-    ?(view = Omniscient) ?fd ?(down_streak = 2) ?(up_streak = 1) ~rows
-    ~universe ~timeout () =
+(* Flap hysteresis of [Fd] views: consecutive agreeing ticks before a
+   node is treated as newly dead (resp. revived). *)
+let down_streak = 2
+let up_streak = 1
+
+let create ?durability ?lease ?switch_retry ?(margin = 2) ?(view = Omniscient)
+    ~rows ~universe ~timeout () =
   if margin < 0 then invalid_arg "Membership.create: margin < 0";
-  if down_streak < 1 then invalid_arg "Membership.create: down_streak < 1";
-  if up_streak < 1 then invalid_arg "Membership.create: up_streak < 1";
   let tri = Htriang.standard ~rows () in
   if tri.Htriang.n > universe then
     invalid_arg "Membership.create: universe smaller than the triangle";
@@ -54,21 +53,18 @@ let create ?durability ?lease ?skew ?switch_retry ?(margin = 2)
       d with
       timeout;
       durability = Option.value durability ~default:d.durability;
-      fd = Option.value fd ~default:d.fd;
     }
   in
   let reconfig =
     Reconfig.of_config ~config
       ~with_fd:(match view with Fd _ -> true | Omniscient -> false)
-      ?lease ?skew ?switch_retry ~initial ~universe ()
+      ?lease ?switch_retry ~initial ~universe ()
   in
   {
     reconfig;
     universe;
     margin;
     view;
-    down_streak;
-    up_streak;
     (* Presume everyone live until the detector says otherwise — the
        failure detector's own starting opinion. *)
     eff_live = Array.make universe true;
@@ -80,7 +76,6 @@ let create ?durability ?lease ?skew ?switch_retry ?(margin = 2)
     grows = 0;
     shrinks = 0;
     replacements = 0;
-    skipped = 0;
     false_evictions = 0;
   }
 
@@ -117,9 +112,7 @@ let proposals t = t.proposals
 let grows t = t.grows
 let shrinks t = t.shrinks
 let replacements t = t.replacements
-let skipped_ticks t = t.skipped
 let false_evictions t = t.false_evictions
-let view_mode t = t.view
 
 (* The liveness opinion a tick acts on.  [Omniscient] is the engine's
    oracle (the historical controller, bit-identical).  [Fd] reads the
@@ -167,7 +160,7 @@ let controller_view t engine =
         if raw = t.eff_live.(p) then t.streak.(p) <- 0
         else begin
           t.streak.(p) <- t.streak.(p) + 1;
-          let needed = if t.eff_live.(p) then t.down_streak else t.up_streak in
+          let needed = if t.eff_live.(p) then down_streak else up_streak in
           if t.streak.(p) >= needed then begin
             t.eff_live.(p) <- raw;
             t.streak.(p) <- 0
@@ -208,8 +201,7 @@ let first_of (fs : (Htriang.t -> Htriang.t option) list) tri =
 
 let tick t engine =
   refresh t;
-  if Reconfig.switch_in_flight t.reconfig then t.skipped <- t.skipped + 1
-  else
+  if not (Reconfig.switch_in_flight t.reconfig) then
     let live = controller_view t engine in
     let live_count = Bitset.cardinal live in
     let n = t.tri.Htriang.n in
@@ -272,7 +264,7 @@ let tick t engine =
       (* The old configuration runs the seal, so the coordinator must
          be a live member of it; with none, wait for the next tick. *)
       match Array.to_list t.place |> List.find_opt (Bitset.mem live) with
-      | None -> t.skipped <- t.skipped + 1
+      | None -> ()
       | Some coordinator ->
           (* Oracle check (measurement only, never steering): an
              evicted member the engine knows is live is a false

@@ -19,14 +19,14 @@
       triangle, one shrink rule is applied and the placement contracts.
 
     A background controller tick runs the policy: at most one proposal
-    is in flight at a time (ticks during a switch are counted and
-    skipped), and a proposed (triangle, placement) is {e adopted} only
-    once the epoch has actually advanced — an abandoned switch leaves
-    the adopted configuration untouched.  New members are admitted by
-    the switch itself: the install step writes the freshest sealed
-    state onto a quorum of the new system before the epoch is
-    announced, and un-synced nodes refuse service by epoch mismatch
-    (see {!Reconfig}).
+    is in flight at a time (ticks during a switch are skipped), and a
+    proposed (triangle, placement) is {e adopted} only once the epoch
+    has actually advanced — an abandoned switch leaves the adopted
+    configuration untouched.  New members are admitted by the switch
+    itself: the install step writes the freshest sealed state onto a
+    quorum of the new system before the epoch is announced, and
+    un-synced nodes refuse service by epoch mismatch (see
+    {!Reconfig}).
 
     The controller is deterministic: ticks are pre-scheduled at fixed
     simulated times and every choice (victim placement, coordinator)
@@ -41,13 +41,13 @@
     member's suspected-live view, or — [Fd {merged = true}] — a
     majority vote over every live member's view.  Flap hysteresis then
     gates every transition: a node is only treated as newly-dead after
-    [down_streak] consecutive agreeing ticks (resp. [up_streak] for
-    revival), so heartbeat-loss bursts do not immediately cost an
-    eviction switch.  A {e false} eviction (the oracle knew the victim
-    was live) is safe — epoch fencing makes the evicted node NACK
-    stale-epoch operations, and it rejoins through a later placement
-    once suspicion clears — but it costs a switch, so it is counted
-    ({!false_evictions}) for the detector-accuracy benches. *)
+    2 consecutive agreeing ticks (revival takes 1), so heartbeat-loss
+    bursts do not immediately cost an eviction switch.  A {e false}
+    eviction (the oracle knew the victim was live) is safe — epoch
+    fencing makes the evicted node NACK stale-epoch operations, and it
+    rejoins through a later placement once suspicion clears — but it
+    costs a switch, so it is counted ({!false_evictions}) for the
+    detector-accuracy benches. *)
 
 type t
 
@@ -59,13 +59,9 @@ type view = Omniscient | Fd of { merged : bool }
 val create :
   ?durability:Sim.Durable.config ->
   ?lease:float ->
-  ?skew:float ->
   ?switch_retry:float ->
   ?margin:int ->
   ?view:view ->
-  ?fd:Client_config.fd ->
-  ?down_streak:int ->
-  ?up_streak:int ->
   rows:int ->
   universe:int ->
   timeout:float ->
@@ -80,15 +76,13 @@ val create :
     falls below [margin/2].  The gap between the two thresholds
     prevents grow/shrink oscillation; under churn a generous margin
     keeps the replacement-switch duty cycle low.
-    [lease]/[skew]/[switch_retry]/[durability] are passed through to
-    {!Reconfig.of_config} ([lease] turns the register timed).
+    [lease]/[switch_retry]/[durability] and [timeout] are passed
+    through to {!Reconfig.of_config} ([lease] turns the register
+    timed).
 
     [view] (default [Omniscient]) selects the controller's liveness
     source (see above); with [Fd _] the register is built with a
-    failure detector and [fd] (default {!Client_config.default}'s)
-    tunes its period / timeout / accrual threshold.  [down_streak]
-    (default 2) and [up_streak] (default 1) are the flap-hysteresis
-    tick counts; both are ignored in [Omniscient] mode. *)
+    failure detector tuned as in {!Client_config.default}. *)
 
 val reconfig : t -> Reconfig.t
 (** The underlying register — reads, writes and all {!Reconfig}
@@ -124,14 +118,8 @@ val shrinks : t -> int
 val replacements : t -> int
 (** Proposals by kind ([replacements] = same triangle, new placement). *)
 
-val skipped_ticks : t -> int
-(** Ticks that found a switch already in flight, or no live member able
-    to coordinate. *)
-
 val false_evictions : t -> int
 (** Proposals that dropped a member the engine oracle knew was live
     while the controller's view believed it dead — the availability
     cost of wrong suspicions ([Fd] views only; always 0 under
     [Omniscient]). *)
-
-val view_mode : t -> view

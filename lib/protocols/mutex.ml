@@ -79,7 +79,6 @@ type t = {
   capacity : int;
   cs_duration : float;
   acquire_timeout : float;
-  routing : Client_config.routing;
   rpc : (app, msg) Rpc.t;
   fd : msg Failure_detector.t;
   durability : Durable.config;
@@ -118,13 +117,7 @@ let of_config ?(config = Client_config.default) ?(capacity = 1) ~system
     capacity;
     cs_duration;
     acquire_timeout = config.Client_config.timeout;
-    routing = config.Client_config.routing;
-    rpc =
-      Rpc.create ~timeout:config.Client_config.rpc.timeout
-        ~backoff:config.Client_config.rpc.backoff
-        ~max_attempts:config.Client_config.rpc.attempts
-        ~wrap:(fun m -> App m)
-        ();
+    rpc = Client_config.rpc ~wrap:(fun m -> App m);
     fd =
       Failure_detector.create ~period:config.Client_config.fd.period
         ~timeout:config.Client_config.fd.timeout
@@ -443,25 +436,6 @@ let client_on_failed t ~node req =
 let release_quorum t ~node req quorum =
   List.iter (fun j -> rsend t ~src:node ~dst:j (Release req)) quorum
 
-(* The mutex's safe embodiment of hedging: grants are stateful, so a
-   request is never duplicated to a second quorum in parallel — that
-   would double the grant traffic and deadlock odds.  Instead, with
-   [routing.hedge] on the waiting watchdog fires early (each beat
-   period, floored by [hedge_floor] instead of the full suspicion
-   timeout) and treats a quorum member whose {e graded} suspicion
-   level has reached [hedge_quantile] as blocked, reselecting around
-   it before the detector fully suspects it.  With hedging off both
-   knobs collapse to the historical watchdog. *)
-let wd_delay t =
-  if t.routing.hedge then
-    Float.max t.routing.hedge_floor (Failure_detector.period t.fd)
-  else Failure_detector.timeout t.fd
-
-let member_blocked t ~node j =
-  if t.routing.hedge then
-    Failure_detector.suspicion t.fd ~node j >= t.routing.hedge_quantile
-  else Failure_detector.suspects t.fd ~node j
-
 (* Issue a fresh request from [node], choosing the quorum among the
    nodes its failure detector currently trusts. *)
 let rec issue_request t ~node =
@@ -493,7 +467,7 @@ let rec issue_request t ~node =
           };
       Engine.with_span_ctx engine span (fun () ->
           List.iter (fun j -> rsend t ~src:node ~dst:j (Request req)) quorum;
-          Engine.set_timer engine ~node ~delay:(wd_delay t)
+          Engine.set_timer engine ~node ~delay:(Failure_detector.timeout t.fd)
             ~tag:(req.ts + wd_offset))
 
 (* Abandon the current attempt (releasing any grants collected and any
@@ -547,12 +521,13 @@ let client_watchdog t ~node ~ts =
         let blocked =
           List.exists
             (fun j ->
-              (not (Bitset.mem w.grants j)) && member_blocked t ~node j)
+              (not (Bitset.mem w.grants j))
+              && Failure_detector.suspects t.fd ~node j)
             w.quorum
         in
         if blocked then abort_attempt t ~node w ~retry:true
         else
-          Engine.set_timer engine ~node ~delay:(wd_delay t)
+          Engine.set_timer engine ~node ~delay:(Failure_detector.timeout t.fd)
             ~tag:(ts + wd_offset)
       end
   | Waiting _ | Idle | In_cs _ -> ()
@@ -621,37 +596,6 @@ let bind t engine =
   for node = 0 to t.system.Quorum.System.n - 1 do
     schedule_probe t engine ~node
   done
-
-let debug_dump t =
-  let buf = Buffer.create 256 in
-  Array.iteri
-    (fun i phase ->
-      let desc =
-        match phase with
-        | Idle -> "idle"
-        | In_cs { req; _ } -> Printf.sprintf "IN-CS(ts=%d)" req.ts
-        | Waiting w ->
-            Printf.sprintf "waiting(ts=%d grants=%s failed=%b inq=[%s] q=[%s])"
-              w.req.ts
-              (String.concat "," (List.map string_of_int (Bitset.to_list w.grants)))
-              w.got_failed
-              (String.concat "," (List.map string_of_int w.pending_inquires))
-              (String.concat "," (List.map string_of_int w.quorum))
-      in
-      Buffer.add_string buf (Printf.sprintf "client %d: %s pend=%d\n" i desc t.pending.(i)))
-    t.clients;
-  Array.iteri
-    (fun j a ->
-      Buffer.add_string buf
-        (Printf.sprintf "arbiter %d: granted=%s inq=%b queue=[%s]\n" j
-           (match a.granted_to with
-            | None -> "-"
-            | Some r -> Printf.sprintf "ts%d/c%d" r.ts r.client)
-           a.inquired
-           (String.concat ";"
-              (List.map (fun r -> Printf.sprintf "ts%d/c%d" r.ts r.client) a.queue))))
-    t.arbiters;
-  Buffer.contents buf
 
 let dispatch_app t ~node ~src = function
   | Request req -> arbiter_on_request t ~node req

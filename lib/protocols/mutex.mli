@@ -77,24 +77,18 @@ val of_config :
   unit ->
   t
 (** The primary constructor: client tunables live in the
-    {!Client_config.t} record.  Honoured fields: [rpc] (the
-    reliable-delivery layer, see {!Sim.Rpc.create}), [fd] (the
-    failure detector, see {!Sim.Failure_detector.create}),
-    [durability] (the arbiters' durable store — a non-zero fsync
-    latency delays GRANTs, torn-tail mode corrupts the last in-flight
-    tombstone on crash), and [timeout], read as the {e acquire}
-    timeout: how long a node keeps retrying an acquisition (across
-    quorum re-selections) before abandoning it.  [retries] is ignored
-    — requests queue at the arbiters instead of retrying.
-
-    [routing.hedge] is the mutex's safe embodiment of hedged requests:
-    grants are stateful, so instead of duplicating a request to a
-    parallel quorum, the waiting watchdog fires early (each beat
-    period, floored by [hedge_floor]) and reselects around any
-    ungranted member whose {e graded} suspicion level (see
-    {!Sim.Failure_detector.suspicion}) has reached [hedge_quantile] —
-    before the detector fully suspects it.  Off (the default) keeps
-    the historical watchdog exactly.
+    {!Client_config.t} record.  Honoured fields: [fd] (the failure
+    detector, see {!Sim.Failure_detector.create}; the waiting
+    watchdog fires every [fd.timeout] and reselects around any
+    ungranted member the detector suspects), [durability] (the
+    arbiters' durable store — a non-zero fsync latency delays GRANTs,
+    torn-tail mode corrupts the last in-flight tombstone on crash),
+    and [timeout], read as the {e acquire} timeout: how long a node
+    keeps retrying an acquisition (across quorum re-selections)
+    before abandoning it; it must be positive.  [retries] and
+    [routing] are ignored — requests queue at the arbiters instead of
+    retrying, and grants are stateful, so a request is never hedged to
+    a second quorum.  Messages ride {!Client_config.rpc}.
 
     [capacity] (default 1) is the number of simultaneous critical
     sections the system is supposed to allow: 1 for a coterie, [k]
@@ -142,6 +136,3 @@ val acquire_latency : t -> Obs.Metrics.histogram
 (** Request-to-entry latency samples ([mutex.acquire_latency] in the
     engine's metrics registry).  Raises [Invalid_argument] before
     {!bind}: instruments live in the engine's {!Obs.t}. *)
-
-val debug_dump : t -> string
-(** Human-readable dump of client and arbiter states (diagnostics). *)

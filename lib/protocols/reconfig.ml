@@ -37,9 +37,6 @@ type op = {
   started : float;
   mutable epoch : int;
   mutable waiting_for : Bitset.t;
-  mutable targets : Bitset.t;  (** everyone ever asked this phase *)
-  mutable acked : Bitset.t;  (** everyone who replied this phase *)
-  mutable last_send : float;
   mutable best : int * int;
   mutable write_version : int;
   mutable phase : phase;
@@ -91,7 +88,6 @@ type t = {
   lease : float option;
       (** timed-quorum mode: replicas serve only under an unexpired
           lease; switches drain leases instead of sealing a quorum *)
-  skew : float;  (** clock-skew budget added to every lease drain *)
   durability : Durable.config;
   mutable dur : unit Durable.t option;
   mutable cell : (int * bool * (int * int)) Durable.cell option;
@@ -101,9 +97,6 @@ type t = {
   fd : msg Failure_detector.t option;
       (** per-node suspected-live views; [None] keeps the historical
           omniscient [Engine.live_set] selection *)
-  routing : Client_config.routing;
-  lat : Hedge.t;  (** per-peer reply latencies *)
-  mutable hedges : int;
   mutable configs : System.t list;  (** index = epoch *)
   mutable epoch : int;  (** latest announced epoch (global knowledge) *)
   replicas : replica array;
@@ -124,14 +117,18 @@ type t = {
   mutable history : Obs.Trace_analysis.hop list;  (** newest first *)
 }
 
+(* The clock-skew budget added to every timed-mode lease drain. *)
+let skew = 0.5
+
 let of_config ?(config = Client_config.default) ?(with_fd = false) ?lease
-    ?(skew = 0.5) ?switch_retry ~initial ~universe () =
-  (* [durability] and [timeout] of the record always apply; [fd] and
-     [routing] only when [with_fd] opts into the failure-detector
-     layer (off by default: no Beat traffic, omniscient selection —
-     bit-identical to the historical register). *)
+    ?switch_retry ~initial ~universe () =
+  (* [durability] and [timeout] of the record always apply; [fd] only
+     when [with_fd] opts into the failure-detector layer (off by
+     default: no Beat traffic, omniscient selection — bit-identical to
+     the historical register). *)
   let durability = config.Client_config.durability in
   let timeout = config.Client_config.timeout in
+  if timeout <= 0.0 then invalid_arg "Reconfig.of_config: timeout";
   if initial.System.n > universe then
     invalid_arg "Reconfig.of_config: configuration exceeds universe";
   let switch_retry = Option.value switch_retry ~default:timeout in
@@ -139,7 +136,6 @@ let of_config ?(config = Client_config.default) ?(with_fd = false) ?lease
   (match lease with
   | Some d when d <= 0.0 -> invalid_arg "Reconfig.of_config: lease"
   | _ -> ());
-  if skew < 0.0 then invalid_arg "Reconfig.of_config: skew";
   let fd =
     if with_fd then
       Some
@@ -154,16 +150,12 @@ let of_config ?(config = Client_config.default) ?(with_fd = false) ?lease
     timeout;
     switch_retry;
     lease;
-    skew;
     durability;
     dur = None;
     cell = None;
     incarnation = Array.make universe 0;
     engine = None;
     fd;
-    routing = config.Client_config.routing;
-    lat = Hedge.create config.Client_config.routing universe;
-    hedges = 0;
     configs = [ initial ];
     epoch = 0;
     replicas =
@@ -279,19 +271,9 @@ let retries t = t.retries
 let failed t = t.failed
 let client_crash_kills t = t.crash_kills
 let stale_reads t = t.stale_reads
-let hedges t = t.hedges
-let has_fd t = Option.is_some t.fd
 
 let fd_view t ~node =
   Option.map (fun fd -> Failure_detector.view fd ~node) t.fd
-
-let fd_stats t ~node =
-  Option.map (fun fd -> Failure_detector.stats fd ~node) t.fd
-
-let fd_suspicion t ~node j =
-  match t.fd with
-  | Some fd -> Failure_detector.suspicion fd ~node j
-  | None -> 0.0
 
 let config_of_epoch t epoch =
   (* configs is newest-first. *)
@@ -339,17 +321,13 @@ let rec launch t (op : op) =
       op.best <- (0, 0);
       op.nacked <- false;
       op.waiting_for <- Bitset.copy quorum;
-      op.targets <- Bitset.copy quorum;
-      op.acked <- Bitset.create system.System.n;
-      op.last_send <- Engine.now engine;
       Engine.with_span_ctx engine op.span (fun () ->
           Bitset.iter
             (fun j ->
               Engine.send engine ~src:op.client ~dst:j
                 (Op_req { op = op.id; epoch = op.epoch; write = None }))
             quorum);
-      arm_progress_check t op;
-      arm_hedge t op
+      arm_progress_check t op
 
 (* A round of requests can be silently swallowed (message loss, a
    replica dying before replying): if the attempt armed here is still
@@ -388,48 +366,6 @@ and retry_later t (op : op) =
       (fun () -> if Hashtbl.mem t.ops op.id then launch t op)
   end
 
-(* Hedged requests: one timer per phase attempt, armed at the worst
-   per-peer latency quantile of the selected quorum.  When it fires,
-   every member still unheard-from has its request duplicated to a
-   distinct backup member from the client's live view; replicas are
-   idempotent (reads are pure, installs take the max version) and the
-   client dedups by the [acked] set, so duplicates cost messages,
-   never safety.  Off by default — with [routing.hedge = false] no
-   timer is ever scheduled and the schedule is bit-identical. *)
-and arm_hedge t (op : op) =
-  if t.routing.Client_config.hedge then begin
-    let engine = engine_exn t in
-    let attempt = op.attempt in
-    let phase = op.phase in
-    let delay = Hedge.delay t.lat op.waiting_for in
-    Engine.schedule engine
-      ~time:(Engine.now engine +. delay)
-      (fun () ->
-        match Hashtbl.find_opt t.ops op.id with
-        | Some op'
-          when op' == op && op.attempt = attempt && op.phase = phase
-               && (not op.nacked)
-               && not (Bitset.is_empty op.waiting_for) ->
-            hedge_round t op
-        | Some _ | None -> ())
-  end
-
-and hedge_round t (op : op) =
-  let engine = engine_exn t in
-  let system = config_of_epoch t op.epoch in
-  let view = live_view t engine ~node:op.client in
-  let payload =
-    match (op.phase, op.kind) with
-    | Install_phase, Write_op value -> Some (op.write_version, value)
-    | _ -> None
-  in
-  Hedge.pick_backups ~view ~targets:op.targets ~limit:system.System.n
-    op.waiting_for (fun j ->
-      t.hedges <- t.hedges + 1;
-      Engine.with_span_ctx engine op.span (fun () ->
-          Engine.send engine ~src:op.client ~dst:j
-            (Op_req { op = op.id; epoch = op.epoch; write = payload })))
-
 let start t ~client kind =
   let engine = engine_exn t in
   if not (Engine.is_live engine client) then t.failed <- t.failed + 1
@@ -444,9 +380,6 @@ let start t ~client kind =
         started = Engine.now engine;
         epoch = t.epoch;
         waiting_for = Bitset.create t.universe;
-        targets = Bitset.create t.universe;
-        acked = Bitset.create t.universe;
-        last_send = 0.0;
         best = (0, 0);
         write_version = 0;
         phase = Version_phase;
@@ -508,9 +441,6 @@ let begin_install t (op : op) =
           op.write_version <- version;
           op.phase <- Install_phase;
           op.waiting_for <- Bitset.copy wq;
-          op.targets <- Bitset.copy wq;
-          op.acked <- Bitset.create system.System.n;
-          op.last_send <- Engine.now engine;
           Engine.with_span_ctx engine op.span (fun () ->
               Bitset.iter
                 (fun j ->
@@ -522,8 +452,7 @@ let begin_install t (op : op) =
                          write = Some (version, value);
                        }))
                 wq);
-          arm_progress_check t op;
-          arm_hedge t op)
+          arm_progress_check t op)
 
 (* --- Reconfiguration -------------------------------------------------- *)
 
@@ -745,7 +674,7 @@ let launch_switch t ~coordinator ~next_system ~timed =
        leases expire (renewals are withheld from now on). *)
     match t.lease with
     | Some d ->
-        Engine.schedule engine ~time:(now +. d +. t.skew) (fun () ->
+        Engine.schedule engine ~time:(now +. d +. skew) (fun () ->
             drain_deadline t sw)
     | None -> assert false)
   else seal_all t engine sw;
@@ -828,25 +757,10 @@ let handlers t : msg Engine.handlers =
             (match Hashtbl.find_opt t.ops op_id with
             | None -> ()
             | Some op ->
-                if Bitset.mem op.targets src && not (Bitset.mem op.acked src)
-                then begin
-                  Hedge.record t.lat ~peer:src
-                    (Engine.now engine -. op.last_send);
-                  Bitset.add op.acked src;
-                  if Bitset.mem op.waiting_for src then
-                    Bitset.remove op.waiting_for src;
+                if Bitset.mem op.waiting_for src then begin
+                  Bitset.remove op.waiting_for src;
                   if version > fst op.best then op.best <- (version, value);
-                  (* With hedging the phase completes on {e any} full
-                     quorum's worth of acks (quorum intersection makes
-                     the acked set as good as the selected one); off,
-                     completion is exactly "every selected member
-                     acked" — the historical rule. *)
-                  let complete =
-                    if t.routing.Client_config.hedge then
-                      (config_of_epoch t op.epoch).System.avail op.acked
-                    else Bitset.is_empty op.waiting_for
-                  in
-                  if complete && not op.nacked then
+                  if Bitset.is_empty op.waiting_for && not op.nacked then
                     match op.phase with
                     | Version_phase -> begin_install t op
                     | Install_phase ->

@@ -55,16 +55,16 @@
     from the moment the switch launches, while members keep serving
     the old epoch until their individual leases expire — the switch
     drains the old configuration instead of sealing it.  After
-    [lease + skew] every lease granted before the switch started has
-    expired — no old-epoch quorum can still commit — and only then
-    are the old members asked to seal and report, so each report
-    reflects its member's final state including writes committed
-    during the drain.  The install fires once a structural quorum of
-    reports is in (freshness then guaranteed by intersection), or
-    best-effort when the retry budget runs out with at least one
-    report; a drain that gathered {e no} reports aborts instead of
-    installing blind (conservative refusal on clock-budget
-    exhaustion).
+    [lease + 0.5] (0.5 being the clock-skew budget) every lease
+    granted before the switch started has expired — no old-epoch
+    quorum can still commit — and only then are the old members asked
+    to seal and report, so each report reflects its member's final
+    state including writes committed during the drain.  The install
+    fires once a structural quorum of reports is in (freshness then
+    guaranteed by intersection), or best-effort when the retry budget
+    runs out with at least one report; a drain that gathered {e no}
+    reports aborts instead of installing blind (conservative refusal
+    on clock-budget exhaustion).
 
     {b Safety caveat}: timed overlap is {e temporal}, not structural.
     A committed write survives the switch provided some member of its
@@ -88,26 +88,24 @@ val of_config :
   ?config:Client_config.t ->
   ?with_fd:bool ->
   ?lease:float ->
-  ?skew:float ->
   ?switch_retry:float ->
   initial:Quorum.System.t ->
   universe:int ->
   unit ->
   t
 (** The primary constructor.  Of the {!Client_config.t} record
-    [durability] and [timeout] always apply; [fd] and [routing] only
-    with [with_fd] (below) — the register has no rpc layer of its own.
+    [durability] and [timeout] always apply, [fd] only with [with_fd]
+    (below); [routing] and [retries] are ignored — the register has no
+    rpc layer of its own, sends no hedges, and retries a NACKed or
+    stuck operation on a fixed budget.  Raises [Invalid_argument]
+    unless [timeout > 0].
 
     [with_fd] (default [false]) attaches a {!Sim.Failure_detector}:
     heartbeats ride the register's wire type as background [Beat]
-    traffic, quorum selection and the coordinator's reachability check
-    use the {e selecting node's} suspected-live view instead of the
-    engine's omniscient live-set, and [config.routing.hedge] enables
-    hedged client requests (stragglers duplicated to a distinct backup
-    member after an adaptive per-peer latency quantile, deduped by op
-    id; completion then needs any full quorum's worth of acks — safe
-    by intersection).  Off, no Beat traffic exists and the register is
-    bit-identical to the historical omniscient one.
+    traffic, and quorum selection and the coordinator's reachability
+    check use the {e selecting node's} suspected-live view instead of
+    the engine's omniscient live-set.  Off, no Beat traffic exists and
+    the register is bit-identical to the historical omniscient one.
 
     [universe] is the engine size and must accommodate every future
     configuration ([initial.n <= universe]); processes beyond the
@@ -118,8 +116,8 @@ val of_config :
     [lease] switches the register into timed-quorum mode (see above):
     replicas serve only under a validity window of [lease] time units
     and reconfigurations drain leases instead of sealing a structural
-    quorum.  [skew] (default 0.5) is the clock-uncertainty margin
-    added to the drain; both must be positive.
+    quorum; it must be positive.  A fixed clock-uncertainty margin of
+    0.5 is added to every drain.
 
     [switch_retry] (default [timeout]) is the coordinator's retry-tick
     interval: each tick re-sends the current phase's request to the
@@ -171,24 +169,9 @@ val stale_reads : t -> int
 (** Must be 0: reads never miss writes committed before they started,
     across reconfigurations. *)
 
-val hedges : t -> int
-(** Hedge requests sent to backup members ([with_fd] +
-    [routing.hedge] only; otherwise 0). *)
-
-val has_fd : t -> bool
-(** Whether the register carries a failure detector ([with_fd]). *)
-
 val fd_view : t -> node:int -> Quorum.Bitset.t option
 (** [node]'s suspected-live view, [None] without [with_fd].  This is
     the view {!Membership} consumes in failure-detector-driven mode. *)
-
-val fd_stats : t -> node:int -> Sim.Failure_detector.stats option
-(** [node]'s detection-accuracy totals against the engine's oracle
-    (see {!Sim.Failure_detector.stats}), [None] without [with_fd]. *)
-
-val fd_suspicion : t -> node:int -> int -> float
-(** Graded suspicion of [j] as seen by [node]; [0.0] without
-    [with_fd]. *)
 
 val history : t -> Obs.Trace_analysis.hop list
 (** Completed client operations in completion order, ready for

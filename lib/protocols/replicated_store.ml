@@ -195,6 +195,10 @@ let of_config ?(config = Client_config.default) ?router
   | Some r when Shard_router.universe r <> n ->
       invalid_arg "Replicated_store.of_config: router universe mismatch"
   | Some _ | None -> ());
+  if config.Client_config.timeout <= 0.0 then
+    invalid_arg "Replicated_store.of_config: timeout";
+  if config.Client_config.retries < 0 then
+    invalid_arg "Replicated_store.of_config: retries";
   {
     read_system;
     write_system;
@@ -204,12 +208,7 @@ let of_config ?(config = Client_config.default) ?router
     retries = config.Client_config.retries;
     routing = config.Client_config.routing;
     durability = config.Client_config.durability;
-    rpc =
-      Rpc.create ~timeout:config.Client_config.rpc.Client_config.timeout
-        ~backoff:config.Client_config.rpc.Client_config.backoff
-        ~max_attempts:config.Client_config.rpc.Client_config.attempts
-        ~wrap:(fun m -> App m)
-        ();
+    rpc = Client_config.rpc ~wrap:(fun m -> App m);
     fd =
       Failure_detector.create
         ~period:config.Client_config.fd.Client_config.period
@@ -277,7 +276,6 @@ let hedges t = t.hedges
 let degraded_writes t = t.degraded_writes
 let degraded t = t.degraded
 let fd_stats t ~node = Failure_detector.stats t.fd ~node
-let fd_suspicion t ~node j = Failure_detector.suspicion t.fd ~node j
 
 let replica_value t ~node ~key = Hashtbl.find_opt t.replicas.(node) key
 
@@ -907,7 +905,7 @@ let on_sync_rep t ~node ~src ~sync entries =
    fresh quorum, but only after a beat (the rejoin usually completes
    within a round trip) and only if no other fail-over superseded the
    attempt meanwhile (the deadline identifies the attempt). *)
-let on_recovering t ~node ~src op_id =
+let on_recovering t ~src op_id =
   match Hashtbl.find_opt t.ops op_id with
   | Some op when not op.done_ ->
       let relevant =
@@ -915,7 +913,6 @@ let on_recovering t ~node ~src op_id =
         | Reading r -> Bitset.mem r.waiting_for src
         | Writing w -> Bitset.mem w.waiting_for src
       in
-      ignore node;
       if relevant then begin
         let engine = engine_exn t in
         let attempt = op.deadline in
@@ -1180,7 +1177,7 @@ let rec dispatch_app t engine ~node ~src = function
             end
           end)
   | Write_ack { op } -> on_write_ack t op ~node:src
-  | Recovering { op } -> on_recovering t ~node ~src op
+  | Recovering { op } -> on_recovering t ~src op
   | Sync_req { sync } ->
       (* Answered even while rejoining, from the replayed durable
          state: write-ahead acking means the log already covers

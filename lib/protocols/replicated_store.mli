@@ -97,20 +97,21 @@ val of_config :
   t
 (** The primary constructor: all client-side tunables live in the
     {!Client_config.t} record (default {!Client_config.default}; every
-    field is honoured — [timeout] is the per-attempt lifetime,
-    [retries] the quorum re-selections after a timeout).  Both systems
-    must span the same universe; a [router]'s universe must match
-    (its shard systems then drive every per-key quorum selection).
+    field is honoured — [timeout] is the per-attempt lifetime and must
+    be positive, [retries] the quorum re-selections after a timeout
+    and must be non-negative; [Invalid_argument] otherwise).  Both
+    systems must span the same universe; a [router]'s universe must
+    match (its shard systems then drive every per-key quorum
+    selection).
 
     [config.retries] interacts with the rpc backoff: a single attempt
-    already survives transient loss via retransmission (up to
-    [rpc.attempts] sends spaced by [rpc.timeout] growing with
-    [rpc.backoff] — see {!Sim.Rpc.create}), so attempt-level retries
-    only matter when a quorum {e member} is down or cut off and a
-    different quorum must be chosen.  Keep [config.timeout]
-    comfortably above [config.rpc.timeout] so the rpc layer gets a
-    chance to push a message through before the whole attempt is
-    abandoned. *)
+    already survives transient loss via retransmission (up to 6 sends
+    spaced from 4.0 time units, growing by 1.6 — see
+    {!Client_config.rpc}), so attempt-level retries only matter when
+    a quorum {e member} is down or cut off and a different quorum must
+    be chosen.  Keep [config.timeout] comfortably above the 4.0
+    retransmit timeout so the rpc layer gets a chance to push a
+    message through before the whole attempt is abandoned. *)
 
 val retried : t -> int
 (** Attempts that failed (timeout or dead-letter) and were retried. *)
@@ -234,10 +235,6 @@ val degraded : t -> bool
 val fd_stats : t -> node:int -> Sim.Failure_detector.stats
 (** [node]'s failure-detection accuracy totals against the engine's
     oracle (see {!Sim.Failure_detector.stats}). *)
-
-val fd_suspicion : t -> node:int -> int -> float
-(** Graded suspicion of [j] as seen by [node] (see
-    {!Sim.Failure_detector.suspicion}). *)
 
 val dead_letters : t -> int
 (** Messages the rpc layer gave up on. *)

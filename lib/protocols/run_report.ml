@@ -31,8 +31,8 @@ type t = {
   obs : Obs.t;
 }
 
-let run ?seed ?(horizon = 400.0) ?(trace_capacity = 1 lsl 19) ?(profile = true)
-    ?span_keep_1_in ?next ~protocol ~system ~scenario () =
+let run ?seed ?(horizon = 400.0) ?(trace_capacity = 1 lsl 19) ?next ~protocol
+    ~system ~scenario () =
   let seed = match seed with Some s -> s | None -> default_seed protocol in
   let next = Option.value next ~default:system in
   let n =
@@ -41,7 +41,7 @@ let run ?seed ?(horizon = 400.0) ?(trace_capacity = 1 lsl 19) ?(profile = true)
     | Reconfig -> max system.Quorum.System.n next.Quorum.System.n
   in
   let s = Chaos.scenario_of_label ~n ~horizon scenario in
-  let obs = Obs.create ~trace_capacity ~profile ?span_keep_1_in () in
+  let obs = Obs.create ~trace_capacity ~profile:true () in
   let summary, audit, name =
     match protocol with
     | Mutex ->
@@ -60,10 +60,15 @@ let run ?seed ?(horizon = 400.0) ?(trace_capacity = 1 lsl 19) ?(profile = true)
                (Replicated_store.history store)),
           system.Quorum.System.name )
     | Throughput ->
-        let r, store =
-          Throughput.run_h ~seed ~obs ~read_system:system ~write_system:system
-            ~name:system.Quorum.System.name s
+        let arm =
+          {
+            Throughput.arm_label = system.Quorum.System.name;
+            read_sys = system;
+            write_sys = system;
+            router = None;
+          }
         in
+        let r, store = Throughput.run_h ~seed ~obs arm s in
         ( Throughput.header () ^ "\n" ^ Throughput.row r,
           Some
             (Ta.audit_history ~trace:(Obs.trace obs) ~spans:(Obs.spans obs)

@@ -35,8 +35,6 @@ val run :
   ?seed:int ->
   ?horizon:float ->
   ?trace_capacity:int ->
-  ?profile:bool ->
-  ?span_keep_1_in:int ->
   ?next:Quorum.System.t ->
   protocol:protocol ->
   system:Quorum.System.t ->
@@ -48,12 +46,10 @@ val run :
     miss) and analyze it.  [seed] defaults to the protocol's pinned
     seed, [horizon] to 400, [trace_capacity] to [2^19] events (big
     enough that standard runs evict nothing), [next] (reconfig only)
-    to [system].  [profile] (default true) turns on the {!Obs.Prof}
-    engine self-profile, rendered as the report's "Engine profile"
-    section — profiling is behaviorally inert, so the simulated
-    results are unchanged by it.  [span_keep_1_in] installs the
-    deterministic span sampler (see {!Obs.create}); the trace-health
-    section then reports the sampling rate.  For [Store] and
+    to [system].  The run carries the {!Obs.Prof} engine self-profile,
+    rendered as the report's "Engine profile" section — profiling is
+    behaviorally inert, so the simulated results are unchanged by it.
+    Every root span is kept (no span sampling).  For [Store] and
     [Throughput] the spec is used as both read and write system;
     [Throughput] drives it closed-loop through sessions with the
     default window, batch size and service cost (see

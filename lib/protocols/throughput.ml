@@ -100,23 +100,18 @@ type report = {
    is what batching amortizes. *)
 let default_service = Store.service ~per_req:0.3 ~per_batch:0.1 ()
 
-let run_h ?(seed = 7) ?config ?(mode = Closed) ?(window = 4) ?(batch_size = 4)
-    ?(batch_delay = 0.25) ?(max_queue = 64) ?(read_fraction = 0.5) ?keys
-    ?(service = default_service) ?router ?obs ~read_system ~write_system
-    ~name scenario =
-  let n = read_system.System.n in
-  let keys = match keys with Some k -> k | None -> 2 * n in
+let run_h ?(seed = 7) ?(mode = Closed) ?(window = 4) ?(batch_size = 4)
+    ?(batch_delay = 0.25) ?(max_queue = 64) ?obs arm scenario =
+  let n = arm.read_sys.System.n in
+  let keys = 2 * n in
   let horizon = scenario.Chaos.horizon in
   let config =
-    match config with
-    | Some c -> c
-    | None ->
-        Client_config.(
-          default
-          |> with_durability (Chaos.durability_of_plan scenario.Chaos.plan))
+    Client_config.(
+      default |> with_durability (Chaos.durability_of_plan scenario.Chaos.plan))
   in
   let store =
-    Store.of_config ~config ?router ~service ~read_system ~write_system ()
+    Store.of_config ~config ?router:arm.router ~service:default_service
+      ~read_system:arm.read_sys ~write_system:arm.write_sys ()
   in
   let engine, rng =
     Chaos.start ~seed ?obs ~nodes:n ~bind:(Store.bind store)
@@ -132,7 +127,7 @@ let run_h ?(seed = 7) ?config ?(mode = Closed) ?(window = 4) ?(batch_size = 4)
   let request () =
     incr issued;
     let key = Rng.int rng keys in
-    if Rng.bernoulli rng read_fraction then Store.Get { key }
+    if Rng.bernoulli rng 0.5 then Store.Get { key }
     else begin
       incr next_value;
       Store.Put { key; value = !next_value }
@@ -198,12 +193,15 @@ let run_h ?(seed = 7) ?config ?(mode = Closed) ?(window = 4) ?(batch_size = 4)
   in
   ( {
       label = scenario.Chaos.label;
-      system = name;
+      system = arm.arm_label;
       seed;
       mode = mode_label mode;
       offered;
       n;
-      shards = (match router with Some r -> Shard_router.shard_count r | None -> 1);
+      shards =
+        (match arm.router with
+        | Some r -> Shard_router.shard_count r
+        | None -> 1);
       sessions = n;
       window;
       batch = batch_size;
@@ -230,14 +228,6 @@ let run_h ?(seed = 7) ?config ?(mode = Closed) ?(window = 4) ?(batch_size = 4)
       budget_hit = outcome = Engine.Budget_exhausted;
     },
     store )
-
-let run_arm ?seed ?config ?mode ?window ?batch_size ?batch_delay ?max_queue
-    ?read_fraction ?keys ?service ?obs arm scenario =
-  fst
-    (run_h ?seed ?config ?mode ?window ?batch_size ?batch_delay ?max_queue
-       ?read_fraction ?keys ?service ?obs ?router:arm.router
-       ~read_system:arm.read_sys ~write_system:arm.write_sys
-       ~name:arm.arm_label scenario)
 
 (* --- Rendering ------------------------------------------------------- *)
 

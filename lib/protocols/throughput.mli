@@ -82,48 +82,24 @@ type report = {
 
 val run_h :
   ?seed:int ->
-  ?config:Client_config.t ->
   ?mode:mode ->
   ?window:int ->
   ?batch_size:int ->
   ?batch_delay:float ->
   ?max_queue:int ->
-  ?read_fraction:float ->
-  ?keys:int ->
-  ?service:Replicated_store.service ->
-  ?router:Shard_router.t ->
-  ?obs:Obs.t ->
-  read_system:Quorum.System.t ->
-  write_system:Quorum.System.t ->
-  name:string ->
-  Chaos.scenario ->
-  report * Replicated_store.t
-(** One store, one session per node ([window] in-flight ops each,
-    batches of [batch_size] flushed after [batch_delay]), the
-    scenario's faults applied, load driven to the scenario horizon
-    and drained.  Defaults: seed 7, closed loop, window 4, batch 4,
-    delay 0.25, [max_queue] 64, 50/50 read mix over [2n] keys, the
-    standard service cost (per_req 0.3, per_batch 0.1 — pass
-    {!Replicated_store.no_service} for the historical zero-cost
-    model), durability from the scenario plan. *)
-
-val run_arm :
-  ?seed:int ->
-  ?config:Client_config.t ->
-  ?mode:mode ->
-  ?window:int ->
-  ?batch_size:int ->
-  ?batch_delay:float ->
-  ?max_queue:int ->
-  ?read_fraction:float ->
-  ?keys:int ->
-  ?service:Replicated_store.service ->
   ?obs:Obs.t ->
   arm ->
   Chaos.scenario ->
-  report
-(** {!run_h} with systems and router taken from the arm, without the
-    store handle. *)
+  report * Replicated_store.t
+(** One store over the arm's systems (and shard router, if any), one
+    session per node ([window] in-flight ops each, batches of
+    [batch_size] flushed after [batch_delay]), the scenario's faults
+    applied, load driven to the scenario horizon and drained; the
+    report's [system] is the arm's label.  Defaults: seed 7, closed
+    loop, window 4, batch 4, delay 0.25, [max_queue] 64.  Fixed: a
+    50/50 read mix over [2n] keys, the standard service cost (per_req
+    0.3, per_batch 0.1), {!Client_config.default} with durability from
+    the scenario plan.  The store comes back with the report. *)
 
 (** {2 Rendering} *)
 

@@ -227,8 +227,7 @@ let test_fd_scenarios_safe () =
         (fun (accrual, hedge) ->
           let r, _ =
             Chaos.run_fd_h ~seed:47 ?accrual ~hedge ~degraded_reads:hedge
-              ~read_system:system ~write_system:system ~name:"htriang(15)"
-              scenario
+              ~read_system:system ~write_system:system scenario
           in
           check_int
             (Printf.sprintf "stale reads %s/%s" r.Chaos.label r.Chaos.detector)
@@ -248,7 +247,7 @@ let test_fd_run_deterministic () =
   let run () =
     fst
       (Chaos.run_fd_h ~seed:47 ~accrual:2.0 ~hedge:true ~read_system:system
-         ~write_system:system ~name:"htriang(15)" scenario)
+         ~write_system:system scenario)
   in
   check "same seed, same report" true (run () = run ())
 

@@ -313,6 +313,63 @@ let test_hedge_pick_backups () =
   let sent, _ = picks ~limit:3 in
   Alcotest.check ilist "no candidate below the limit" [] sent
 
+(* --- Config range checks: each constructor rejects the fields it reads *)
+
+let invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_hedge_quantile_range () =
+  List.iter
+    (fun q ->
+      check
+        (Printf.sprintf "quantile %g rejected" q)
+        true
+        (invalid (fun () -> tracker ~hedge:false ~q ~floor:0.0 [])))
+    [ 0.0; 1.0; -0.5; 1.5 ]
+
+let test_hedge_floor_range () =
+  check "negative floor rejected" true
+    (invalid (fun () -> tracker ~q:0.9 ~floor:(-1.0) []));
+  check "zero floor accepted" false
+    (invalid (fun () -> tracker ~q:0.9 ~floor:0.0 []))
+
+let store_with config =
+  let system = Core.Registry.build_exn "majority(5)" in
+  Protocols.Replicated_store.of_config ~config ~read_system:system
+    ~write_system:system ()
+
+let test_store_timeout_range () =
+  List.iter
+    (fun timeout ->
+      check
+        (Printf.sprintf "store timeout %g rejected" timeout)
+        true
+        (invalid (fun () ->
+             store_with
+               Protocols.Client_config.(default |> with_timeout timeout))))
+    [ 0.0; -1.0 ]
+
+let test_store_retries_range () =
+  check "negative retries rejected" true
+    (invalid (fun () ->
+         store_with Protocols.Client_config.(default |> with_retries (-1))));
+  check "zero retries accepted" false
+    (invalid (fun () ->
+         store_with Protocols.Client_config.(default |> with_retries 0)))
+
+let test_reconfig_timeout_range () =
+  let initial = Core.Registry.build_exn "majority(5)" in
+  List.iter
+    (fun timeout ->
+      check
+        (Printf.sprintf "register timeout %g rejected" timeout)
+        true
+        (invalid (fun () ->
+             Protocols.Reconfig.of_config
+               ~config:Protocols.Client_config.(default |> with_timeout timeout)
+               ~initial ~universe:5 ())))
+    [ 0.0; -1.0 ]
+
 let () =
   Alcotest.run "protocols"
     [
@@ -341,5 +398,14 @@ let () =
             test_hedge_quantile_after_wrap;
           Alcotest.test_case "floor" `Quick test_hedge_floor;
           Alcotest.test_case "pick backups" `Quick test_hedge_pick_backups;
+        ] );
+      ( "config checks",
+        [
+          Alcotest.test_case "hedge quantile" `Quick test_hedge_quantile_range;
+          Alcotest.test_case "hedge floor" `Quick test_hedge_floor_range;
+          Alcotest.test_case "store timeout" `Quick test_store_timeout_range;
+          Alcotest.test_case "store retries" `Quick test_store_retries_range;
+          Alcotest.test_case "register timeout" `Quick
+            test_reconfig_timeout_range;
         ] );
     ]

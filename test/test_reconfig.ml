@@ -200,6 +200,61 @@ let test_timed_switch () =
   check_int "drain-window write visible after install" 0
     (Reconfig.stale_reads rc)
 
+(* Hedged requests are a store-only routing knob: the register must run
+   the very same schedule whatever [config.routing] says.  The probe is
+   a register switched from majority(9) to [next] at t = 70 under gray
+   failures, serving Poisson ops (every third a write) — when the
+   register still hedged, this probe returned a stale read with
+   [with_fd], and hedged on the omniscient live set without it. *)
+let hedge_probe ~with_fd ~next routing =
+  let initial = Core.Registry.build_exn "majority(9)" in
+  let next = Core.Registry.build_exn next in
+  let universe = next.Quorum.System.n in
+  let config =
+    Protocols.Client_config.(routing (default |> with_fd ~timeout:4.0))
+  in
+  let rc = Reconfig.of_config ~config ~with_fd ~initial ~universe () in
+  let scenario =
+    Protocols.Chaos.scenario_of_label ~n:universe ~horizon:200.0 "gray"
+  in
+  let engine, rng =
+    Protocols.Chaos.start ~seed:2 ~nodes:universe ~bind:(Reconfig.bind rc)
+      (Reconfig.handlers rc) scenario
+  in
+  Engine.schedule engine ~time:70.0 (fun () ->
+      Reconfig.reconfigure rc ~coordinator:0 next);
+  let k = ref 0 in
+  let (_ : int) =
+    Protocols.Workload.poisson_ops engine ~rng ~rate:2.0 ~horizon:200.0
+      (fun ~client ->
+        incr k;
+        if !k mod 3 = 0 then Reconfig.write rc ~client ~value:!k
+        else Reconfig.read rc ~client)
+  in
+  Engine.run engine;
+  ( Reconfig.history rc,
+    [
+      Reconfig.reads_ok rc;
+      Reconfig.writes_ok rc;
+      Reconfig.retries rc;
+      Reconfig.failed rc;
+      Reconfig.stale_reads rc;
+      Reconfig.epoch_switches rc;
+    ] )
+
+let check_hedge_inert ~with_fd ~next () =
+  let plain_history, plain = hedge_probe ~with_fd ~next Fun.id in
+  let hedged_history, hedged =
+    hedge_probe ~with_fd ~next
+      (Protocols.Client_config.with_routing ~hedge:true ~hedge_quantile:0.5
+         ~hedge_floor:0.5)
+  in
+  Alcotest.(check (list int))
+    "reads/writes/retries/failed/stale/switches" plain hedged;
+  check "same history" true (plain_history = hedged_history);
+  check_int "no stale reads" 0 (List.nth plain 4);
+  check "work was done" true (List.hd plain > 0)
+
 let () =
   Alcotest.run "reconfig"
     [
@@ -215,5 +270,9 @@ let () =
           Alcotest.test_case "coordinator crash mid-switch" `Quick
             test_coordinator_crash_mid_switch;
           Alcotest.test_case "timed switch" `Quick test_timed_switch;
+          Alcotest.test_case "hedge routing inert (fd view)" `Quick
+            (check_hedge_inert ~with_fd:true ~next:"htriang(10)");
+          Alcotest.test_case "hedge routing inert (omniscient view)" `Quick
+            (check_hedge_inert ~with_fd:false ~next:"htriang(15)");
         ] );
     ]

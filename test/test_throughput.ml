@@ -304,15 +304,15 @@ let calm_scenario ~horizon = { Chaos.label = "calm"; horizon; plan = Chaos.calm 
 let test_throughput_deterministic () =
   let arm = Throughput.htriang_arm ~n:9 in
   let s = calm_scenario ~horizon:60.0 in
-  let r1 = Throughput.run_arm ~seed:5 arm s in
-  let r2 = Throughput.run_arm ~seed:5 arm s in
+  let r1, _ = Throughput.run_h ~seed:5 arm s in
+  let r2, _ = Throughput.run_h ~seed:5 arm s in
   check "pinned seed replays bit-identically" true (r1 = r2);
   check "work was done" true (r1.Throughput.completed > 0);
   check_int "no stale reads" 0 r1.Throughput.stale_reads
 
 let test_throughput_crossover () =
   let s = calm_scenario ~horizon:80.0 in
-  let run arm = Throughput.run_arm ~seed:5 ~window:6 arm s in
+  let run arm = fst (Throughput.run_h ~seed:5 ~window:6 arm s) in
   let flat = run (Throughput.flat_arm ~n:12) in
   let sharded =
     match Throughput.sharded_arm ~n:12 () with
@@ -325,8 +325,8 @@ let test_throughput_crossover () =
 
 let test_open_loop_sheds_under_overload () =
   let s = calm_scenario ~horizon:60.0 in
-  let r =
-    Throughput.run_arm ~seed:5 ~mode:(Throughput.Open 30.0) ~max_queue:8
+  let r, _ =
+    Throughput.run_h ~seed:5 ~mode:(Throughput.Open 30.0) ~max_queue:8
       (Throughput.flat_arm ~n:9)
       s
   in
